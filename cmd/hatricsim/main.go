@@ -62,7 +62,7 @@ import (
 func main() {
 	var (
 		name     = flag.String("workload", "canneal", "workload name (see internal/workload presets)")
-		protocol = flag.String("protocol", "hatric", "translation coherence: sw, hatric, unitd, ideal")
+		protocol = flag.String("protocol", "hatric", "translation coherence: sw, hatric, hatric-pf, unitd, ideal")
 		threads  = flag.Int("threads", 16, "vCPU/thread count per VM")
 		vms      = flag.Int("vms", 1, "number of VMs, each running the workload on its own CPUs")
 		modeStr  = flag.String("mode", "paged", "placement: paged, no-hbm, inf-hbm")

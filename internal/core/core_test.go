@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"hatric/internal/arch"
@@ -98,20 +99,35 @@ func fillAll(m *fakeMachine, cpu int, src uint64) {
 	m.ts[cpu].MMU.Fill(vm, 3, 3, src, uint8(cache.KindNestedPT))
 }
 
+// mustNew builds a protocol with 2-byte co-tags by a name it must know.
+func mustNew(t *testing.T, name string, m Machine) Protocol {
+	t.Helper()
+	p, err := New(name, m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestNewByName(t *testing.T) {
 	m := newFakeMachine(2)
-	for _, name := range []string{"sw", "hatric", "unitd", "ideal"} {
-		p := New(name, m, 2)
+	for _, name := range []string{"sw", "hatric", "hatric-pf", "unitd", "ideal"} {
+		p, err := New(name, m, 2)
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
+		}
 		if p.Name() != name {
 			t.Errorf("New(%q).Name() = %q", name, p.Name())
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown protocol should panic")
+	for _, name := range []string{"", "HATRIC", "bogus"} {
+		p, err := New(name, m, 2)
+		if err == nil || p != nil {
+			t.Errorf("New(%q) = %v, %v; want an error", name, p, err)
+		} else if !strings.Contains(err.Error(), "sw, hatric, hatric-pf, unitd and ideal") {
+			t.Errorf("New(%q) error %q does not list the valid names", name, err)
 		}
-	}()
-	New("bogus", m, 2)
+	}
 }
 
 func TestHooks(t *testing.T) {

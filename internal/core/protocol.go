@@ -17,6 +17,8 @@
 package core
 
 import (
+	"fmt"
+
 	"hatric/internal/arch"
 	"hatric/internal/coherence"
 	"hatric/internal/faults"
@@ -141,19 +143,20 @@ func relayFiltered(m Machine, cpu, owner int) bool {
 }
 
 // New builds a protocol by name: "sw", "hatric", "hatric-pf", "unitd", or
-// "ideal". cotagBytes configures HATRIC's co-tag width.
-func New(name string, m Machine, cotagBytes int) Protocol {
+// "ideal". cotagBytes configures HATRIC's co-tag width. Any other name,
+// including the empty one, is an error listing the valid names.
+func New(name string, m Machine, cotagBytes int) (Protocol, error) {
 	switch name {
 	case "sw":
-		return NewSoftware(m)
+		return NewSoftware(m), nil
 	case "hatric":
-		return NewHATRIC(m, cotagBytes)
+		return NewHATRIC(m, cotagBytes), nil
 	case "hatric-pf":
-		return NewHATRICPF(m, cotagBytes)
+		return NewHATRICPF(m, cotagBytes), nil
 	case "unitd":
-		return NewUNITDPP(m)
+		return NewUNITDPP(m), nil
 	case "ideal":
-		return NewIdeal(m)
+		return NewIdeal(m), nil
 	}
-	panic("core: unknown protocol " + name)
+	return nil, fmt.Errorf("core: unknown protocol %q: valid protocols are sw, hatric, hatric-pf, unitd and ideal", name)
 }

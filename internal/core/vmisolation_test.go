@@ -72,7 +72,7 @@ func TestRemapNeverCrossesVMs(t *testing.T) {
 	pte := arch.SPA(0x800) // owned by VM 0
 	for _, name := range []string{"sw", "hatric", "hatric-pf", "unitd", "ideal"} {
 		m := twoVMMachine()
-		p := New(name, m, 2)
+		p := mustNew(t, name, m)
 		before := []cpuSnap{snap(m, 0), snap(m, 1), snap(m, 2), snap(m, 3)}
 
 		p.OnRemap(0, 0, pte, 0)
@@ -101,7 +101,7 @@ func TestRelayFilteredAcrossVMs(t *testing.T) {
 	pte := arch.SPA(0x800) // owned by VM 0
 	for _, name := range []string{"hatric", "hatric-pf", "unitd", "ideal"} {
 		m := twoVMMachine()
-		p := New(name, m, 2)
+		p := mustNew(t, name, m)
 		hook, relay := p.Hook()
 		if hook == nil || !relay {
 			t.Fatalf("%s: no relay hook", name)

@@ -86,7 +86,10 @@ func newMultiRig(t *testing.T, protocol string, paging PagingConfig, cfgs []VMCo
 		r.vms = append(r.vms, vm)
 		r.gpps = append(r.gpps, gpps)
 	}
-	proto := core.New(protocol, machine, 2)
+	proto, err := core.New(protocol, machine, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	hook, relay := proto.Hook()
 	hier.SetTranslationHook(hook, relay)
 	hyp, err := New(paging, cfgs, cfg.Cost, mem, hier, machine, proto, machine.vms, 1)

@@ -500,7 +500,11 @@ func New(opts Options) (*System, error) {
 	}
 
 	// Protocol, then its relay hook into the hierarchy.
-	s.proto = core.New(opts.Protocol, s, cfg.TLB.CoTagBytes)
+	proto, err := core.New(opts.Protocol, s, cfg.TLB.CoTagBytes)
+	if err != nil {
+		return nil, err
+	}
+	s.proto = proto
 	hook, relay := s.proto.Hook()
 	s.hier.SetTranslationHook(hook, relay)
 

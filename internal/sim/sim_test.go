@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"hatric/internal/arch"
@@ -195,6 +197,24 @@ func TestBadOptionsRejected(t *testing.T) {
 	if _, err := New(Options{Config: badCfg, Protocol: "hatric",
 		Workloads: SingleWorkload(smokeSpec(), 1)}); err == nil {
 		t.Errorf("invalid config accepted")
+	}
+}
+
+// TestUnknownProtocolRejected: a protocol name core does not know, the zero
+// value included, fails sim.New with an error naming the valid protocols
+// instead of panicking.
+func TestUnknownProtocolRejected(t *testing.T) {
+	for _, name := range []string{"", "HATRIC"} {
+		t.Run(fmt.Sprintf("%q", name), func(t *testing.T) {
+			sys, err := New(Options{Config: smokeConfig(), Protocol: name,
+				Workloads: SingleWorkload(smokeSpec(), 1)})
+			if err == nil || sys != nil {
+				t.Fatalf("New accepted protocol %q", name)
+			}
+			if !strings.Contains(err.Error(), "sw, hatric, hatric-pf, unitd and ideal") {
+				t.Errorf("error %q does not list the valid protocols", err)
+			}
+		})
 	}
 }
 

@@ -48,11 +48,22 @@ type Entry struct {
 //
 // Entry metadata lives in flat parallel arrays (keys, sources, VM tags, ...)
 // instead of an []Entry: the hot compares — the (VM, key) probe of a lookup
-// and the (VM, co-tag) CAM sweep of an invalidation — each walk only the two
-// or three dense arrays they need. A per-set valid count lets probes of
-// empty sets miss in O(1) and lets the CAM-style sweeps of
-// InvalidateMasked/FlushVM/CachesMasked skip empty sets entirely (the
-// modeled compare energy is unchanged: only valid entries ever counted).
+// and the (VM, co-tag) CAM sweep of an invalidation — each walk only the
+// dense arrays they need. A per-set valid count lets probes of empty sets
+// miss in O(1).
+//
+// The CAM-style sweeps (InvalidateMasked, CachesMasked, UpdateMatching) are
+// one flat pass over the source array, not a walk set by set: the co-tag
+// compare almost never matches, so testing it first leaves one predictable
+// branch per entry, and validity and the VM tag are read only on a match.
+// InvalidateMasked and CachesMasked skip a wholly empty structure and
+// nothing finer; their modeled compare count (the valid entries, summed
+// from the per-set counts) is unchanged. Flush, FlushVM and ForEachValid
+// still skip empty sets one by one, and FlushVM must: in a demand-paging
+// storm nearly every software shootdown finds the structures it flushes
+// already empty (99.4% of FlushVM calls in the benchmark's paging_storm),
+// and there the skip reads one count per set where a flat sweep would
+// read every way.
 //
 // Recency is exact rank-based LRU (see internal/lrurank): identical
 // victims to a per-touch-timestamp scheme at a fraction of the footprint.
@@ -327,31 +338,12 @@ func (s *Struct) InvalidateKey(vm int, key uint64) bool {
 //
 //hatric:hotpath
 func (s *Struct) InvalidateMasked(vm int, src uint64, shift uint, mask uint64) int {
-	n := 0
-	target := (src >> shift) & mask
-	for set := 0; set < s.sets; set++ {
-		if s.vcnt[set] == 0 {
-			continue
-		}
-		base := set * s.ways
-		for i := base; i < base+s.ways; i++ {
-			if s.vms[i] < 0 {
-				continue
-			}
-			s.CoTagCompares++
-			if !s.vmMatch(i, vm) {
-				continue
-			}
-			if (s.srcs[i]>>shift)&mask == target {
-				s.vms[i] = -1
-				s.vcnt[set]--
-				n++
-			}
-		}
-	}
-	s.CoTagInvalidations += uint64(n)
-	return n
+	return s.InvalidateMaskedExcept(vm, src, shift, mask, noExcept)
 }
+
+// noExcept is the exception InvalidateMasked passes: it spares nothing,
+// because a source word index is an SPA >> 3 and never has all 64 bits set.
+const noExcept = ^uint64(0)
 
 // InvalidateMaskedExcept behaves like InvalidateMasked but spares entries
 // whose exact source word is exceptSrc (they were just updated in place by
@@ -359,30 +351,22 @@ func (s *Struct) InvalidateMasked(vm int, src uint64, shift uint, mask uint64) i
 //
 //hatric:hotpath
 func (s *Struct) InvalidateMaskedExcept(vm int, src uint64, shift uint, mask, exceptSrc uint64) int {
+	compares := s.ValidCount()
+	if compares == 0 {
+		return 0
+	}
+	s.CoTagCompares += uint64(compares)
+	// (e>>shift)&mask == (src>>shift)&mask exactly when (e^src)&sel == 0,
+	// which spares the loop a shift per entry.
+	sel := mask << shift
 	n := 0
-	target := (src >> shift) & mask
-	for set := 0; set < s.sets; set++ {
-		if s.vcnt[set] == 0 {
+	for i, e := range s.srcs {
+		if (e^src)&sel != 0 || e == exceptSrc || !s.vmMatch(i, vm) {
 			continue
 		}
-		base := set * s.ways
-		for i := base; i < base+s.ways; i++ {
-			if s.vms[i] < 0 {
-				continue
-			}
-			s.CoTagCompares++
-			if !s.vmMatch(i, vm) {
-				continue
-			}
-			if s.srcs[i] == exceptSrc {
-				continue
-			}
-			if (s.srcs[i]>>shift)&mask == target {
-				s.vms[i] = -1
-				s.vcnt[set]--
-				n++
-			}
-		}
+		s.vms[i] = -1
+		s.vcnt[i/s.ways]--
+		n++
 	}
 	s.CoTagInvalidations += uint64(n)
 	return n
@@ -390,30 +374,40 @@ func (s *Struct) InvalidateMaskedExcept(vm int, src uint64, shift uint, mask, ex
 
 // CachesMasked reports whether any valid entry of vm matches the masked
 // compare (used by the eager directory-update ablation; counts compare
-// energy).
+// energy). Like a CAM that stops at a match, it counts the compares up to
+// and including the first matching entry.
 //
 //hatric:hotpath
 func (s *Struct) CachesMasked(vm int, src uint64, shift uint, mask uint64) bool {
-	target := (src >> shift) & mask
-	for set := 0; set < s.sets; set++ {
-		if s.vcnt[set] == 0 {
+	valid := s.ValidCount()
+	if valid == 0 {
+		return false
+	}
+	sel := mask << shift // the masked compare of InvalidateMaskedExcept
+	for i, e := range s.srcs {
+		if (e^src)&sel != 0 || !s.vmMatch(i, vm) {
 			continue
 		}
-		base := set * s.ways
-		for i := base; i < base+s.ways; i++ {
-			if s.vms[i] < 0 {
-				continue
-			}
-			s.CoTagCompares++
-			if !s.vmMatch(i, vm) {
-				continue
-			}
-			if (s.srcs[i]>>shift)&mask == target {
-				return true
-			}
+		s.CoTagCompares += uint64(s.validThrough(i))
+		return true
+	}
+	s.CoTagCompares += uint64(valid)
+	return false
+}
+
+// validThrough counts the valid entries at indices 0 through i.
+func (s *Struct) validThrough(i int) int {
+	set := i / s.ways
+	n := 0
+	for _, c := range s.vcnt[:set] {
+		n += int(c)
+	}
+	for _, t := range s.vms[set*s.ways : i+1] {
+		if t >= 0 {
+			n++
 		}
 	}
-	return false
+	return n
 }
 
 // UpdateMatching visits every valid entry of vm whose exact source word
@@ -426,24 +420,18 @@ func (s *Struct) CachesMasked(vm int, src uint64, shift uint, mask uint64) bool 
 //hatric:hotpath
 func (s *Struct) UpdateMatching(vm int, src uint64, upd func(Entry) (uint64, bool)) int {
 	n := 0
-	for set := 0; set < s.sets; set++ {
-		if s.vcnt[set] == 0 {
+	for i, e := range s.srcs {
+		if e != src || !s.vmMatch(i, vm) {
 			continue
 		}
-		base := set * s.ways
-		for i := base; i < base+s.ways; i++ {
-			if s.srcs[i] != src || !s.vmMatch(i, vm) {
-				continue
-			}
-			newVal, keep := upd(s.entryAt(i))
-			if keep {
-				s.vals[i] = newVal
-			} else {
-				s.vms[i] = -1
-				s.vcnt[set]--
-			}
-			n++
+		newVal, keep := upd(s.entryAt(i))
+		if keep {
+			s.vals[i] = newVal
+		} else {
+			s.vms[i] = -1
+			s.vcnt[i/s.ways]--
 		}
+		n++
 	}
 	return n
 }
@@ -478,19 +466,27 @@ func (s *Struct) Flush() int {
 //
 //hatric:hotpath
 func (s *Struct) FlushVM(vm int) int {
+	if vm == AnyVM {
+		return s.Flush()
+	}
+	// A concrete tag never equals an invalid way's -1, so the tag compare
+	// alone is the whole match.
+	tag := int32(vm)
 	n := 0
-	for set := 0; set < s.sets; set++ {
-		if s.vcnt[set] == 0 {
+	for set, c := range s.vcnt {
+		if c == 0 {
 			continue
 		}
 		base := set * s.ways
-		for i := base; i < base+s.ways; i++ {
-			if s.vmMatch(i, vm) {
-				s.vms[i] = -1
-				s.vcnt[set]--
-				n++
+		lost := int32(0)
+		for i, t := range s.vms[base : base+s.ways] {
+			if t == tag {
+				s.vms[base+i] = -1
+				lost++
 			}
 		}
+		s.vcnt[set] -= lost
+		n += int(lost)
 	}
 	s.Flushes++
 	s.FlushedEntries += uint64(n)

@@ -1,10 +1,13 @@
 package tstruct
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"hatric/internal/arch"
+	"hatric/internal/xrand"
 )
 
 func TestFillLookup(t *testing.T) {
@@ -333,6 +336,287 @@ func TestFlushVM(t *testing.T) {
 	}
 	if cs.ValidTotal() != 1 {
 		t.Errorf("VM 1's nTLB entry should survive, valid = %d", cs.ValidTotal())
+	}
+}
+
+// The reference sweeps below are the nested, set-by-set CAM sweeps the flat
+// ones in tstruct.go replaced, kept verbatim apart from taking the structure
+// as a parameter. TestSweepsMatchReference holds the flat sweeps to them.
+
+func refInvalidateMasked(s *Struct, vm int, src uint64, shift uint, mask uint64) int {
+	n := 0
+	target := (src >> shift) & mask
+	for set := 0; set < s.sets; set++ {
+		if s.vcnt[set] == 0 {
+			continue
+		}
+		base := set * s.ways
+		for i := base; i < base+s.ways; i++ {
+			if s.vms[i] < 0 {
+				continue
+			}
+			s.CoTagCompares++
+			if !s.vmMatch(i, vm) {
+				continue
+			}
+			if (s.srcs[i]>>shift)&mask == target {
+				s.vms[i] = -1
+				s.vcnt[set]--
+				n++
+			}
+		}
+	}
+	s.CoTagInvalidations += uint64(n)
+	return n
+}
+
+func refInvalidateMaskedExcept(s *Struct, vm int, src uint64, shift uint, mask, exceptSrc uint64) int {
+	n := 0
+	target := (src >> shift) & mask
+	for set := 0; set < s.sets; set++ {
+		if s.vcnt[set] == 0 {
+			continue
+		}
+		base := set * s.ways
+		for i := base; i < base+s.ways; i++ {
+			if s.vms[i] < 0 {
+				continue
+			}
+			s.CoTagCompares++
+			if !s.vmMatch(i, vm) {
+				continue
+			}
+			if s.srcs[i] == exceptSrc {
+				continue
+			}
+			if (s.srcs[i]>>shift)&mask == target {
+				s.vms[i] = -1
+				s.vcnt[set]--
+				n++
+			}
+		}
+	}
+	s.CoTagInvalidations += uint64(n)
+	return n
+}
+
+func refCachesMasked(s *Struct, vm int, src uint64, shift uint, mask uint64) bool {
+	target := (src >> shift) & mask
+	for set := 0; set < s.sets; set++ {
+		if s.vcnt[set] == 0 {
+			continue
+		}
+		base := set * s.ways
+		for i := base; i < base+s.ways; i++ {
+			if s.vms[i] < 0 {
+				continue
+			}
+			s.CoTagCompares++
+			if !s.vmMatch(i, vm) {
+				continue
+			}
+			if (s.srcs[i]>>shift)&mask == target {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func refUpdateMatching(s *Struct, vm int, src uint64, upd func(Entry) (uint64, bool)) int {
+	n := 0
+	for set := 0; set < s.sets; set++ {
+		if s.vcnt[set] == 0 {
+			continue
+		}
+		base := set * s.ways
+		for i := base; i < base+s.ways; i++ {
+			if s.srcs[i] != src || !s.vmMatch(i, vm) {
+				continue
+			}
+			newVal, keep := upd(s.entryAt(i))
+			if keep {
+				s.vals[i] = newVal
+			} else {
+				s.vms[i] = -1
+				s.vcnt[set]--
+			}
+			n++
+		}
+	}
+	return n
+}
+
+func refFlushVM(s *Struct, vm int) int {
+	n := 0
+	for set := 0; set < s.sets; set++ {
+		if s.vcnt[set] == 0 {
+			continue
+		}
+		base := set * s.ways
+		for i := base; i < base+s.ways; i++ {
+			if s.vmMatch(i, vm) {
+				s.vms[i] = -1
+				s.vcnt[set]--
+				n++
+			}
+		}
+	}
+	s.Flushes++
+	s.FlushedEntries += uint64(n)
+	return n
+}
+
+// structDiff describes the first difference between two structures'
+// statistics, per-set valid counts, entries (valid or not) and LRU state,
+// or returns "" when they are identical.
+func structDiff(got, want *Struct) string {
+	stats := func(s *Struct) [8]uint64 {
+		return [8]uint64{s.Hits, s.Misses, s.Fills, s.Evictions,
+			s.FlushedEntries, s.Flushes, s.CoTagCompares, s.CoTagInvalidations}
+	}
+	if g, w := stats(got), stats(want); g != w {
+		return fmt.Sprintf("stats (hits misses fills evictions flushed flushes compares invalidations) %v, want %v", g, w)
+	}
+	if !slices.Equal(got.vcnt, want.vcnt) {
+		return fmt.Sprintf("per-set valid counts %v, want %v", got.vcnt, want.vcnt)
+	}
+	for i := range want.vms {
+		if g, w := got.entryAt(i), want.entryAt(i); g != w {
+			return fmt.Sprintf("entry %d: %+v, want %+v", i, g, w)
+		}
+	}
+	if !slices.Equal(got.ranks, want.ranks) {
+		return "LRU ranks differ"
+	}
+	return ""
+}
+
+// TestSweepsMatchReference drives the flat sweeps and the reference sweeps
+// with the same seeded random operations on twin structures and requires
+// identical return values and identical structures after every operation.
+// Sources cluster in a few lines with aliases 256 and 2^14 lines apart, so
+// every co-tag width the callers use sees line false sharing, aliasing and
+// misses; three VM tags plus AnyVM exercise the VPID qualification; phases
+// that mostly fill alternate with phases that mostly invalidate, so the sets
+// swing between full and holed.
+func TestSweepsMatchReference(t *testing.T) {
+	shapes := []struct{ entries, ways int }{{64, 4}, {512, 8}, {32, 4}, {48, 4}, {16, 2}}
+	// Every (shift, mask) pair the protocols pass: HATRIC's co-tag widths,
+	// UNITD++'s full line address and the ideal protocol's exact PTE.
+	compares := []struct {
+		shift uint
+		mask  uint64
+	}{{3, CoTagMask(1)}, {3, CoTagMask(2)}, {3, CoTagMask(3)}, {3, ^uint64(0)}, {0, ^uint64(0)}}
+	tags := []int{0, 1, 2, AnyVM}
+	const (
+		opFill = iota
+		opInvalidateKey
+		opInvalidateMasked
+		opInvalidateMaskedExcept
+		opCachesMasked
+		opUpdateMatching
+		opFlushVM
+		opFlush
+	)
+	opNames := [...]string{"Fill", "InvalidateKey", "InvalidateMasked", "InvalidateMaskedExcept",
+		"CachesMasked", "UpdateMatching", "FlushVM", "Flush"}
+	// Per-mille weights of each operation in the filling and the
+	// invalidating phase.
+	weights := [2][8]int{
+		{800, 30, 50, 30, 50, 30, 8, 2},
+		{200, 100, 250, 100, 200, 100, 40, 10},
+	}
+	pick := func(rng *xrand.RNG, phase int) int {
+		r := rng.Intn(1000)
+		for op, w := range weights[phase] {
+			if r < w {
+				return op
+			}
+			r -= w
+		}
+		panic("weights must sum to 1000")
+	}
+	for _, shape := range shapes {
+		for seed := uint64(1); seed <= 3; seed++ {
+			name := fmt.Sprintf("%dx%d/seed%d", shape.entries, shape.ways, seed)
+			t.Run(name, func(t *testing.T) {
+				got := New("flat", shape.entries, shape.ways)
+				want := New("nested", shape.entries, shape.ways)
+				rng := xrand.New(seed<<32 | uint64(shape.entries))
+				src := func() uint64 {
+					line := rng.Uint64n(24) + 256*rng.Uint64n(3) + (1<<14)*rng.Uint64n(2)
+					return line*8 + rng.Uint64n(8)
+				}
+				var gotSeen, wantSeen []Entry
+				updater := func(seen *[]Entry) func(Entry) (uint64, bool) {
+					return func(e Entry) (uint64, bool) {
+						*seen = append(*seen, e)
+						return e.Val + 1, e.Key%3 != 0
+					}
+				}
+				var cachedHits, cachedMisses int
+				for step := 0; step < 4000; step++ {
+					vm := tags[rng.Intn(len(tags))]
+					cmp := compares[rng.Intn(len(compares))]
+					var g, w any
+					op := pick(rng, step/500%2)
+					switch op {
+					case opFill:
+						// Callers fill with a concrete VM tag only.
+						fvm, key, val, s, kind := rng.Intn(3), rng.Uint64n(uint64(2*shape.entries)), rng.Uint64(), src(), uint8(rng.Intn(4))
+						g1, g2 := got.Fill(fvm, key, val, s, kind)
+						w1, w2 := want.Fill(fvm, key, val, s, kind)
+						g, w = [2]any{g1, g2}, [2]any{w1, w2}
+					case opInvalidateKey:
+						key := rng.Uint64n(uint64(2 * shape.entries))
+						g, w = got.InvalidateKey(vm, key), want.InvalidateKey(vm, key)
+					case opInvalidateMasked:
+						s := src()
+						g = got.InvalidateMasked(vm, s, cmp.shift, cmp.mask)
+						w = refInvalidateMasked(want, vm, s, cmp.shift, cmp.mask)
+					case opInvalidateMaskedExcept:
+						s, except := src(), src()
+						if rng.Intn(2) == 0 {
+							except = s // the prefetch extension's call
+						}
+						g = got.InvalidateMaskedExcept(vm, s, cmp.shift, cmp.mask, except)
+						w = refInvalidateMaskedExcept(want, vm, s, cmp.shift, cmp.mask, except)
+					case opCachesMasked:
+						s := src()
+						hit := got.CachesMasked(vm, s, cmp.shift, cmp.mask)
+						g, w = hit, refCachesMasked(want, vm, s, cmp.shift, cmp.mask)
+						if hit {
+							cachedHits++
+						} else {
+							cachedMisses++
+						}
+					case opUpdateMatching:
+						s := src()
+						gotSeen, wantSeen = gotSeen[:0], wantSeen[:0]
+						g = got.UpdateMatching(vm, s, updater(&gotSeen))
+						w = refUpdateMatching(want, vm, s, updater(&wantSeen))
+						if !slices.Equal(gotSeen, wantSeen) {
+							t.Fatalf("step %d: UpdateMatching(vm %d) visited %v, want %v", step, vm, gotSeen, wantSeen)
+						}
+					case opFlushVM:
+						g, w = got.FlushVM(vm), refFlushVM(want, vm)
+					case opFlush:
+						g, w = got.Flush(), want.Flush()
+					}
+					if g != w {
+						t.Fatalf("step %d: %s (vm %d) returned %v, want %v", step, opNames[op], vm, g, w)
+					}
+					if d := structDiff(got, want); d != "" {
+						t.Fatalf("step %d: after %s (vm %d): %s", step, opNames[op], vm, d)
+					}
+				}
+				if got.Evictions == 0 || got.CoTagInvalidations == 0 || cachedHits == 0 || cachedMisses == 0 {
+					t.Errorf("weak sequence: %d evictions, %d co-tag invalidations, CachesMasked %d hits / %d misses",
+						got.Evictions, got.CoTagInvalidations, cachedHits, cachedMisses)
+				}
+			})
+		}
 	}
 }
 
