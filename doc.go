@@ -69,13 +69,14 @@
 //
 // An opt-in engine (sim.Options.ParallelCPUs, `hatricsim -parallel`)
 // shards the physical CPUs across worker goroutines and advances the
-// machine in fixed-length cycle epochs. Within an epoch each worker
-// touches only per-CPU state — private caches, translation structures,
-// clocks, counters — against a frozen view of the shared machine; every
+// machine in fixed-length cycle epochs. Within an epoch each worker runs
+// the serial engine's per-reference function on its own CPUs, touching
+// only per-CPU state — private caches, translation structures, clocks,
+// counters — against a frozen view of the shared machine; every
 // cross-shard effect (shared-cache fills, invalidation relays, directory
 // updates, page faults, storm daemons) is appended to a per-CPU deferred
 // log. At the epoch barrier the logs are merged in (cycle, cpu) order
-// and replayed serially through the unmodified serial code paths.
+// and replayed serially through the serial code paths.
 //
 // Why this preserves determinism: each CPU's epoch execution is a pure
 // function of its own state plus the frozen shared state, and the merge

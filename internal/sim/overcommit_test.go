@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"hatric/internal/arch"
@@ -147,65 +148,79 @@ func TestOvercommitDeschedStalls(t *testing.T) {
 // lose or invent events — the per-VM aggregates sum to the machine-wide
 // aggregate for every counter incremented on scheduled CPUs, including
 // the structure-local compare counters (which once were dumped wholesale
-// on whichever VM ran last).
+// on whichever VM ran last). Both engines attribute through the same
+// per-(CPU, VM) matrix.
 func TestOvercommitPerVMAccounting(t *testing.T) {
-	res := runOC(t, ocOptions("hatric"))
-	var memRefs, walks, faults, compares uint64
-	for vm, c := range res.PerVM {
-		memRefs += c.MemRefs
-		walks += c.Walks
-		faults += c.PageFaults
-		compares += c.CoTagCompares
-		if c.CoTagCompares == 0 {
-			t.Errorf("VM %d attributed zero co-tag compares; both VMs' relays ran", vm)
-		}
-	}
-	if memRefs != res.Agg.MemRefs {
-		t.Errorf("per-VM MemRefs sum %d != aggregate %d", memRefs, res.Agg.MemRefs)
-	}
-	if walks != res.Agg.Walks {
-		t.Errorf("per-VM Walks sum %d != aggregate %d", walks, res.Agg.Walks)
-	}
-	if faults != res.Agg.PageFaults {
-		t.Errorf("per-VM PageFaults sum %d != aggregate %d", faults, res.Agg.PageFaults)
-	}
-	if compares != res.Agg.CoTagCompares {
-		t.Errorf("per-VM CoTagCompares sum %d != aggregate %d", compares, res.Agg.CoTagCompares)
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("parallel=%d", workers), func(t *testing.T) {
+			opts := ocOptions("hatric")
+			opts.ParallelCPUs = workers
+			res := runOC(t, opts)
+			var memRefs, walks, faults, compares uint64
+			for vm, c := range res.PerVM {
+				memRefs += c.MemRefs
+				walks += c.Walks
+				faults += c.PageFaults
+				compares += c.CoTagCompares
+				if c.CoTagCompares == 0 {
+					t.Errorf("VM %d attributed zero co-tag compares; both VMs' relays ran", vm)
+				}
+			}
+			if memRefs != res.Agg.MemRefs {
+				t.Errorf("per-VM MemRefs sum %d != aggregate %d", memRefs, res.Agg.MemRefs)
+			}
+			if walks != res.Agg.Walks {
+				t.Errorf("per-VM Walks sum %d != aggregate %d", walks, res.Agg.Walks)
+			}
+			if faults != res.Agg.PageFaults {
+				t.Errorf("per-VM PageFaults sum %d != aggregate %d", faults, res.Agg.PageFaults)
+			}
+			if compares != res.Agg.CoTagCompares {
+				t.Errorf("per-VM CoTagCompares sum %d != aggregate %d", compares, res.Agg.CoTagCompares)
+			}
+		})
 	}
 }
 
 // TestZeroRefStreamTerminates: a zero-reference stream is finished at
-// birth; both the pinned and the scheduled run loop must retire it and
-// terminate instead of spinning on a CPU whose clock never advances.
+// birth; both the pinned and the scheduled run loop, on both engines, must
+// retire it and terminate instead of spinning on a CPU whose clock never
+// advances.
 func TestZeroRefStreamTerminates(t *testing.T) {
 	empty := ocSpec()
 	empty.Refs = 0
 	work := ocSpec()
 
-	// Pinned: one working CPU, one zero-ref CPU.
-	cfg := arch.DefaultConfig()
-	cfg.NumCPUs = 2
-	SizeConfig(&cfg, 2*work.FootprintPages, hv.ModeNoHBM)
-	res := runOC(t, Options{
-		Config:   cfg,
-		Protocol: "hatric",
-		Mode:     hv.ModeNoHBM,
-		VMs: []VMSpec{
-			{Workloads: []AssignedWorkload{{Spec: work, CPUs: []int{0}}}},
-			{Workloads: []AssignedWorkload{{Spec: empty, CPUs: []int{1}}}},
-		},
-		Seed: 3,
-	})
-	if res.Agg.MemRefs != work.Refs {
-		t.Errorf("pinned: memrefs = %d, want %d", res.Agg.MemRefs, work.Refs)
-	}
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("parallel=%d", workers), func(t *testing.T) {
+			// Pinned: one working CPU, one zero-ref CPU.
+			cfg := arch.DefaultConfig()
+			cfg.NumCPUs = 2
+			SizeConfig(&cfg, 2*work.FootprintPages, hv.ModeNoHBM)
+			res := runOC(t, Options{
+				Config:   cfg,
+				Protocol: "hatric",
+				Mode:     hv.ModeNoHBM,
+				VMs: []VMSpec{
+					{Workloads: []AssignedWorkload{{Spec: work, CPUs: []int{0}}}},
+					{Workloads: []AssignedWorkload{{Spec: empty, CPUs: []int{1}}}},
+				},
+				Seed:         3,
+				ParallelCPUs: workers,
+			})
+			if res.Agg.MemRefs != work.Refs {
+				t.Errorf("pinned: memrefs = %d, want %d", res.Agg.MemRefs, work.Refs)
+			}
 
-	// Scheduled: a zero-ref vCPU time-shares a physical CPU with real work.
-	opts := ocOptions("hatric")
-	opts.VMs[1].Workloads[0].Spec = empty
-	res = runOC(t, opts)
-	if res.VMFinish(0) == 0 {
-		t.Errorf("scheduled: working VM never finished beside a zero-ref VM")
+			// Scheduled: a zero-ref vCPU time-shares a physical CPU with real work.
+			opts := ocOptions("hatric")
+			opts.VMs[1].Workloads[0].Spec = empty
+			opts.ParallelCPUs = workers
+			res = runOC(t, opts)
+			if res.VMFinish(0) == 0 {
+				t.Errorf("scheduled: working VM never finished beside a zero-ref VM")
+			}
+		})
 	}
 }
 

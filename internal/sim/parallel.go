@@ -4,15 +4,16 @@ package sim
 //
 // Physical CPUs are sharded round-robin across ParallelCPUs persistent
 // worker goroutines. The machine advances in fixed-length cycle epochs:
-// within an epoch each worker steps its own pCPUs' references against
-// worker-local state only — private caches, translation structures,
-// per-CPU counters and clocks, the vCPU runqueue of each pCPU — while
-// every cross-shard effect (shared-LLC fills, invalidation waves,
-// directory updates, faults, storm daemons, copy-on-write breaks,
-// migration dirty tracking) is appended to a per-CPU deferred-event log
+// within an epoch each worker runs step — the same per-reference function
+// the serial engine runs — on its own pCPUs against worker-local state
+// only: private caches, translation structures, per-CPU counters and
+// clocks, the vCPU runqueue of each pCPU. At step's effect sites every
+// cross-shard effect (shared-LLC fills, invalidation waves, directory
+// updates, faults, storm daemons, copy-on-write breaks, migration dirty
+// tracking) is appended to a per-CPU deferred-event log
 // (coherence.DeferredLog) instead of being performed. At the epoch
 // barrier the logs are merged in (cycle, cpu) order and replayed
-// serially through the unmodified serial code paths. Because each CPU's
+// serially through the serial engine's code paths. Because each CPU's
 // epoch execution is a pure function of its own state plus the frozen
 // shared state, and the merge order is a pure function of the per-CPU
 // event streams, the results are bit-identical for every worker count —
@@ -20,21 +21,21 @@ package sim
 // NOT bit-identical to the serial engine: deferring shared-cache fills
 // and invalidation waves to the barrier shifts LLC/directory timing, so
 // parallel runs carry their own golden set (TestGoldenCountersParallel).
-// See doc.go, "Parallel execution", for the full argument.
+// See README.md, "Parallel execution", for the full argument.
 
 import (
 	"fmt"
 	"sync"
 
 	"hatric/internal/arch"
-	"hatric/internal/cache"
 	"hatric/internal/coherence"
-	"hatric/internal/stats"
 	"hatric/internal/workload"
 )
 
 // Simulator-defined deferred-op codes (coherence owns the codes below
-// OpSimBase). All serialize hypervisor work at the barrier.
+// OpSimBase). All name hypervisor work, which the parallel engine
+// serializes at the barrier; the serial engine runs opDefrag, opKSMScan,
+// opCompact and opMigWrite inline through the same runHV.
 const (
 	// opFault parks the CPU on a nested page fault; the barrier runs
 	// HandleFault in merged order and unparks it. Arg packs (vm, gpp).
@@ -101,10 +102,6 @@ type parState struct {
 	epoch   arch.Cycles
 	cpus    []parCPU
 	log     *coherence.DeferredLog
-	// perVM is the per-(CPU, VM) attribution matrix scheduled machines
-	// use in place of the shared perVM slice: each worker writes only
-	// its own CPUs' rows, and collect folds the matrix serially.
-	perVM [][]stats.Counters
 	// start[w] carries worker w's epoch-end cycle; closing it shuts the
 	// worker down. wg is the epoch barrier.
 	start  []chan arch.Cycles
@@ -133,12 +130,6 @@ func (s *System) parInit() {
 		start:   make([]chan arch.Cycles, s.opts.ParallelCPUs),
 		errCPU:  make([]error, s.cfg.NumCPUs),
 		heads:   make([]int, s.cfg.NumCPUs),
-	}
-	if s.sched {
-		p.perVM = make([][]stats.Counters, s.cfg.NumCPUs)
-		for cpu := range p.perVM {
-			p.perVM[cpu] = make([]stats.Counters, len(s.vms))
-		}
 	}
 	// The device queueing model assumes request times arrive near-sorted
 	// (the serial min-clock schedule); barrier replay mixes per-epoch event
@@ -207,141 +198,12 @@ func (s *System) runShard(w int, end arch.Cycles) {
 	for cpu := w; cpu < s.cfg.NumCPUs; cpu += s.par.workers {
 		pc := &s.par.cpus[cpu]
 		for !pc.parked && s.clock[cpu] < end && s.cpuRunnable(cpu) {
-			if err := s.stepShard(cpu, pc); err != nil {
+			if err := s.step(cpu); err != nil {
 				s.par.errCPU[cpu] = err
 				break
 			}
 		}
 	}
-}
-
-// stepShard executes one memory reference on cpu against worker-local
-// state, deferring every cross-shard effect to the epoch log. It mirrors
-// the serial step; divergences are commented at their site.
-//
-//hatric:hotpath
-func (s *System) stepShard(cpu int, pc *parCPU) error {
-	pc.steps++
-	c := s.cnt[cpu]
-	var acc workload.Access
-	if pc.pendValid {
-		// Resuming the reference parked on a fault: the slab position,
-		// gap charge, and daemon triggers already ran when it parked.
-		acc = pc.pendAcc
-	} else {
-		if s.sched {
-			s.schedule(cpu)
-		}
-		vc := &s.vcpus[s.running[cpu]]
-		if vc.bufPos == vc.bufLen {
-			vc.bufLen = vc.stream.NextBatch(vc.buf)
-			vc.bufPos = 0
-			if vc.bufLen == 0 {
-				// Zero-reference stream: retire here. s.active is
-				// recomputed at the barrier, not decremented (workers
-				// must not write shared scalars mid-epoch).
-				vc.finished = true
-				vc.done = s.clock[cpu]
-				s.done[cpu] = s.clock[cpu]
-				return nil
-			}
-		}
-		acc = vc.buf[vc.bufPos]
-		vc.bufPos++
-
-		c.Instructions += uint64(acc.Gap) + 1
-		s.clock[cpu] += arch.Cycles(float64(acc.Gap) * s.cfg.Cost.BaseCPI)
-		c.MemRefs++
-
-		// Daemon triggers fire on the same per-CPU reference counts as
-		// the serial engine, but the work itself (page-table mutation,
-		// coherent remaps) serializes at the barrier. Balloon and
-		// migration pumps run there too, budgeted by pc.steps.
-		vm := vc.vm
-		if de := s.defragEvery[vm]; de > 0 && c.MemRefs%de == 0 {
-			s.par.log.Append(cpu, opDefrag, 0, uint64(vm), cache.KindData, s.clock[cpu])
-		}
-		if s.ksmEvery > 0 && c.MemRefs%s.ksmEvery == 0 {
-			s.par.log.Append(cpu, opKSMScan, 0, 0, cache.KindData, s.clock[cpu])
-		}
-		if s.compactEvery > 0 && c.MemRefs%s.compactEvery == 0 {
-			s.par.log.Append(cpu, opCompact, 0, 0, cache.KindData, s.clock[cpu])
-		}
-	}
-	vc := &s.vcpus[s.running[cpu]]
-	pid, vm := vc.pid, vc.vm
-
-	// Translate. One attempt only: a nested fault parks the CPU for the
-	// barrier's serialized HandleFault instead of the serial engine's
-	// inline retry loop.
-	gvp := acc.VA.Page()
-	spp, gpp, lat, fault := s.walkers[cpu].Translate(pid, gvp, s.clock[cpu])
-	s.clock[cpu] += lat
-	if fault != nil {
-		pc.faultStreak++
-		if pc.faultStreak > 64 {
-			//hatric:alloc-ok cold error exit; a livelock aborts the whole run
-			return fmt.Errorf("sim: CPU %d livelocked faulting on gvp %#x (parallel engine)", cpu, uint64(gvp))
-		}
-		pc.pendValid = true
-		pc.pendAcc = acc
-		pc.parked = true
-		s.par.log.Append(cpu, opFault, 0, packVMGPP(vm, fault.GPP), cache.KindData, s.clock[cpu])
-		return nil
-	}
-	pc.faultStreak = 0
-	pc.pendValid = false
-
-	// Copy-on-write probe: the sharing bitmaps are frozen mid-epoch, so
-	// the check is a pure read; the break itself is barrier work and the
-	// epoch's write lands on the pre-break frame (see opKSMBreak).
-	if s.ksmOn && acc.Write && s.hyp.KSMShared(vm, gpp) {
-		s.par.log.Append(cpu, opKSMBreak, 0, packVMGPP(vm, gpp), cache.KindData, s.clock[cpu])
-	}
-
-	// Nested accessed bit: logged (deduped) instead of written — the
-	// page tables are shared. The barrier ORs the bits in before any
-	// eviction policy can read them.
-	packed := packVMGPP(vm, gpp)
-	slot := (packed * 0x9E3779B97F4A7C15) >> (64 - accFilterBits)
-	if pc.accFilter[slot] != packed+1 {
-		pc.accFilter[slot] = packed + 1
-		//hatric:alloc-ok amortized capacity growth during warm-up epochs; steady state appends within capacity (parallel zero-alloc gate)
-		pc.accessed = append(pc.accessed, packed)
-	}
-
-	if s.migrating && acc.Write {
-		s.par.log.Append(cpu, opMigWrite, 0, packed, cache.KindData, s.clock[cpu])
-	}
-
-	// Stale-translation audit: page tables are frozen mid-epoch and every
-	// remap replays at a barrier, so the serial invariant (zero stale
-	// uses under a correct protocol) carries over unchanged.
-	if s.opts.CheckStale {
-		want, ok := s.vms[vm].Translate(pid, gvp)
-		if !ok || want != spp {
-			c.StaleTranslationUses++
-			if ok {
-				spp = want
-			}
-		}
-	}
-
-	// The data access itself, against the private hierarchy; misses past
-	// the L2 defer (hierarchy deferredRead/deferredWrite).
-	spa := spp.Addr() + arch.SPA(acc.VA.Offset())
-	if acc.Write {
-		s.clock[cpu] += s.hier.Write(cpu, spa, cache.KindData, s.clock[cpu])
-	} else {
-		s.clock[cpu] += s.hier.Read(cpu, spa, cache.KindData, s.clock[cpu])
-	}
-
-	if vc.bufPos == vc.bufLen && vc.stream.Done() {
-		vc.finished = true
-		vc.done = s.clock[cpu]
-		s.done[cpu] = s.clock[cpu]
-	}
-	return nil
 }
 
 // parEpoch runs one epoch: fan the workers out to the next epoch-end
@@ -470,7 +332,7 @@ func (s *System) dispatchEvents() error {
 	}
 }
 
-// applyEvent replays one deferred event through the unmodified serial
+// applyEvent replays one deferred event through the serial engine's
 // paths. Replay latency lands on the issuing CPU's clock; `now` is the
 // cycle the event was logged at, so directory and shootdown timing sees
 // the same instant the serial engine would have.
@@ -492,21 +354,14 @@ func (s *System) applyEvent(cpu int, ev *coherence.DeferredEvent) error {
 		}
 		s.clock[cpu] += lat
 		s.par.cpus[cpu].parked = false
-	case opDefrag:
-		s.clock[cpu] += s.hyp.Defrag(cpu, int(ev.Arg), ev.Cycle)
-	case opKSMScan:
-		s.clock[cpu] += s.hyp.KSMScan(cpu, ev.Cycle)
-	case opCompact:
-		s.clock[cpu] += s.hyp.Compact(cpu, ev.Cycle)
 	case opKSMBreak:
 		// A later same-page event this epoch may find the sharing
 		// already broken; KSMWriteBreak then reports no break, cost-free.
 		vm, gpp := unpackVMGPP(ev.Arg)
 		lat, _ := s.hyp.KSMWriteBreak(cpu, vm, gpp, ev.Cycle)
 		s.clock[cpu] += lat
-	case opMigWrite:
-		vm, gpp := unpackVMGPP(ev.Arg)
-		s.hyp.NoteMigrationWrite(cpu, vm, gpp)
+	case opDefrag, opKSMScan, opCompact, opMigWrite:
+		s.runHV(cpu, ev.Op, ev.Arg, ev.Cycle)
 	}
 	return nil
 }

@@ -182,8 +182,9 @@ type Options struct {
 	// results are bit-identical for any worker count at a given
 	// configuration (a pure throughput knob), but the deferral shifts
 	// shared-state timing relative to the serial engine, so parallel runs
-	// carry their own golden set — see doc.go, "Parallel execution".
-	// 0 (the default) runs the serial engine, byte-for-byte unchanged.
+	// carry their own golden set — see README.md, "Parallel execution".
+	// Both engines execute references through the same step; 0 (the
+	// default) runs the serial engine.
 	ParallelCPUs int
 	// EpochCycles is the parallel engine's epoch length in cycles
 	// (default DefaultEpochCycles). Ignored unless ParallelCPUs > 0.
@@ -215,11 +216,12 @@ func Multiprogrammed(specs []workload.Spec) []AssignedWorkload {
 }
 
 // validateVMSpecs checks the machine description up front, before any
-// state is built: every process pinned to in-range, non-overlapping vCPU
-// slots, and QoS settings that are self-consistent and fit the configured
-// die-stacked capacity — counting pinned (inf-hbm) footprints against it,
-// since those frames are permanently unreclaimable and a reservation that
-// only fits without them could not be honored.
+// state is built: every process has a positive footprint and is pinned to
+// in-range, non-overlapping vCPU slots, and QoS settings are
+// self-consistent and fit the configured die-stacked capacity — counting
+// pinned (inf-hbm) footprints against it, since those frames are
+// permanently unreclaimable and a reservation that only fits without them
+// could not be honored.
 func validateVMSpecs(vmSpecs []VMSpec, cfg *arch.Config, ratio int, defaultMode hv.PlacementMode) error {
 	numSlots := cfg.NumCPUs * ratio
 	// owner[slot] names who pinned the slot. A slice, not a map, so the
@@ -238,6 +240,9 @@ func validateVMSpecs(vmSpecs []VMSpec, cfg *arch.Config, ratio int, defaultMode 
 				return fmt.Errorf("sim: process %s of VM %d has no CPUs", w.Spec.Name, v)
 			}
 			who := fmt.Sprintf("process %q of VM %d", w.Spec.Name, v)
+			if w.Spec.FootprintPages <= 0 {
+				return fmt.Errorf("sim: %s has FootprintPages %d; it must be positive", who, w.Spec.FootprintPages)
+			}
 			for _, c := range w.CPUs {
 				if c < 0 || c >= numSlots {
 					return fmt.Errorf("sim: %s pins slot %d outside [0, %d) (%d CPUs x %d vCPUs/CPU)",
@@ -399,7 +404,7 @@ type System struct {
 	rrpos     []int         // per physical CPU: index of running in runq
 	qstart    []arch.Cycles // per physical CPU: clock at last switch-in
 	vmsOn     [][]bool      // per physical CPU: which VMs have vCPUs here
-	perVM     []stats.Counters
+	perVM     [][]stats.Counters
 	snap      []stats.Counters // per physical CPU: counters at last attribution
 
 	// migrating gates the live-migration hooks in the per-reference hot
@@ -578,7 +583,10 @@ func New(opts Options) (*System, error) {
 		s.rrpos = make([]int, cfg.NumCPUs)
 		s.qstart = make([]arch.Cycles, cfg.NumCPUs)
 		s.vmsOn = make([][]bool, cfg.NumCPUs)
-		s.perVM = make([]stats.Counters, len(s.vms))
+		s.perVM = make([][]stats.Counters, cfg.NumCPUs)
+		for p := range s.perVM {
+			s.perVM[p] = make([]stats.Counters, len(s.vms))
+		}
 		s.snap = make([]stats.Counters, cfg.NumCPUs)
 		for slot := range s.vcpus {
 			if s.vcpus[slot].stream == nil {
@@ -1049,11 +1057,12 @@ func (s *System) schedule(cpu int) {
 	s.qstart[cpu] = s.clock[cpu]
 }
 
-// attribute adds cpu's counter delta since the last attribution to vm's
-// per-VM aggregate (quantum-granular attribution; see Result.PerVM). The
-// structure-local compare counters are folded in first, so compare energy
-// is credited to the quantum that ran it rather than dumped on whichever
-// VM happens to run last.
+// attribute adds cpu's counter delta since the last attribution to
+// s.perVM[cpu][vm] (quantum-granular attribution; see Result.PerVM). Each
+// parallel worker writes only its own CPUs' rows, and collect folds the
+// rows in CPU order. The structure-local compare counters are folded in
+// first, so compare energy is credited to the quantum that ran it rather
+// than dumped on whichever VM happens to run last.
 func (s *System) attribute(cpu, vm int) {
 	c := s.cnt[cpu]
 	for _, t := range s.ts[cpu].All() {
@@ -1065,80 +1074,96 @@ func (s *System) attribute(cpu, vm int) {
 	}
 	d := *c
 	d.Sub(&s.snap[cpu])
-	if s.par != nil {
-		// Workers attribute concurrently; each writes its own CPU's row of
-		// the per-(CPU, VM) matrix, folded into perVM at collect time.
-		s.par.perVM[cpu][vm].Add(&d)
-	} else {
-		s.perVM[vm].Add(&d)
-	}
+	s.perVM[cpu][vm].Add(&d)
 	s.snap[cpu] = *c
 }
 
-// step executes one memory reference on cpu.
+// step executes one memory reference on cpu, for both engines: the serial
+// run loop calls it on the min-clock CPU, parallel workers on their
+// shard's CPUs (runShard). The engines differ at six effect sites, each
+// one branch: hypervisor work runs now or is logged for the barrier
+// (hvWork); balloon and migration pumps run here on the serial engine
+// only; a nested fault retries inline or parks the CPU; a write to a
+// KSM-shared page breaks the sharing inline or logs the break; the nested
+// accessed bit is set or logged; and only the serial engine counts a
+// retiring vCPU out of s.active (retire).
 func (s *System) step(cpu int) error {
-	if s.sched {
+	// pc is cpu's parallel-engine state, nil on the serial engine.
+	var pc *parCPU
+	if s.par != nil {
+		pc = &s.par.cpus[cpu]
+		// Every call, parked resumes and zero-reference retirements
+		// included, counts toward the barrier's pump budget.
+		pc.steps++
+	}
+	// A resumed reference parked on a fault already ran the scheduler, the
+	// slab position, gap charge, and daemon triggers when it parked.
+	resume := pc != nil && pc.pendValid
+	if s.sched && !resume {
 		s.schedule(cpu)
 	}
 	vc := &s.vcpus[s.running[cpu]]
-	if vc.bufPos == vc.bufLen {
-		vc.bufLen = vc.stream.NextBatch(vc.buf)
-		vc.bufPos = 0
-		if vc.bufLen == 0 {
-			// A stream exhausted before yielding anything (zero-reference
-			// specs): retire the vCPU here, or the run loop would spin on
-			// a CPU whose clock never advances.
-			vc.finished = true
-			vc.done = s.clock[cpu]
-			s.done[cpu] = s.clock[cpu]
-			s.active--
-			return nil
-		}
-	}
-	acc := vc.buf[vc.bufPos]
-	vc.bufPos++
 	c := s.cnt[cpu]
-	pid := vc.pid
-	vm := vc.vm
-
-	// Non-memory instructions.
-	c.Instructions += uint64(acc.Gap) + 1
-	s.clock[cpu] += arch.Cycles(float64(acc.Gap) * s.cfg.Cost.BaseCPI)
-	c.MemRefs++
-
-	// Periodic defragmentation remaps (superpage compaction) in the
-	// CPU's own VM.
-	if de := s.defragEvery[vm]; de > 0 && c.MemRefs%de == 0 {
-		s.clock[cpu] += s.hyp.Defrag(cpu, vm, s.clock[cpu])
-	}
-
-	// Memory-management storm daemons: the KSM dedup scan and the
-	// compaction window steal cycles from whichever vCPU crossed the
-	// period, like the defrag daemon above.
-	if s.ksmEvery > 0 && c.MemRefs%s.ksmEvery == 0 {
-		s.clock[cpu] += s.hyp.KSMScan(cpu, s.clock[cpu])
-	}
-	if s.compactEvery > 0 && c.MemRefs%s.compactEvery == 0 {
-		s.clock[cpu] += s.hyp.Compact(cpu, s.clock[cpu])
-	}
-
-	// Balloon inflations: if this CPU drives one, reclaim the next frame
-	// burst. The flag drops once every balloon completes.
-	if s.ballooning {
-		s.clock[cpu] += s.hyp.PumpBalloons(cpu, s.clock[cpu])
-		if s.hyp.UnfinishedBalloons() == 0 {
-			s.ballooning = false
+	pid, vm := vc.pid, vc.vm
+	var acc workload.Access
+	if resume {
+		acc = pc.pendAcc
+	} else {
+		if vc.bufPos == vc.bufLen {
+			vc.bufLen = vc.stream.NextBatch(vc.buf)
+			vc.bufPos = 0
+			if vc.bufLen == 0 {
+				// A stream exhausted before yielding anything (zero-reference
+				// specs): retire the vCPU here, or the run loop would spin on
+				// a CPU whose clock never advances.
+				s.retire(cpu, vc)
+				return nil
+			}
 		}
-	}
+		acc = vc.buf[vc.bufPos]
+		vc.bufPos++
 
-	// Live migration: if this CPU drives a migration, perform the next
-	// remap burst — the coherence storm interleaves with guest execution
-	// at the BurstPages granularity. Once every migration has completed
-	// the flag drops and the hot path is exactly the no-migration one.
-	if s.migrating {
-		s.clock[cpu] += s.hyp.PumpMigrations(cpu, s.clock[cpu])
-		if s.hyp.UnfinishedMigrations() == 0 {
-			s.migrating = false
+		// Non-memory instructions.
+		c.Instructions += uint64(acc.Gap) + 1
+		s.clock[cpu] += arch.Cycles(float64(acc.Gap) * s.cfg.Cost.BaseCPI)
+		c.MemRefs++
+
+		// Periodic defragmentation remaps (superpage compaction) in the
+		// CPU's own VM.
+		if de := s.defragEvery[vm]; de > 0 && c.MemRefs%de == 0 {
+			s.hvWork(cpu, opDefrag, uint64(vm))
+		}
+
+		// Memory-management storm daemons: the KSM dedup scan and the
+		// compaction window steal cycles from whichever vCPU crossed the
+		// period, like the defrag daemon above.
+		if s.ksmEvery > 0 && c.MemRefs%s.ksmEvery == 0 {
+			s.hvWork(cpu, opKSMScan, 0)
+		}
+		if s.compactEvery > 0 && c.MemRefs%s.compactEvery == 0 {
+			s.hvWork(cpu, opCompact, 0)
+		}
+
+		// Balloon inflations: if this CPU drives one, reclaim the next frame
+		// burst. The flag drops once every balloon completes. This pump and
+		// the migration pump below run per reference on the serial engine
+		// only; the parallel engine pumps at the barrier (pumpAtBarrier).
+		if pc == nil && s.ballooning {
+			s.clock[cpu] += s.hyp.PumpBalloons(cpu, s.clock[cpu])
+			if s.hyp.UnfinishedBalloons() == 0 {
+				s.ballooning = false
+			}
+		}
+
+		// Live migration: if this CPU drives a migration, perform the next
+		// remap burst — the coherence storm interleaves with guest execution
+		// at the BurstPages granularity. Once every migration has completed
+		// the flag drops and the hot path is exactly the no-migration one.
+		if pc == nil && s.migrating {
+			s.clock[cpu] += s.hyp.PumpMigrations(cpu, s.clock[cpu])
+			if s.hyp.UnfinishedMigrations() == 0 {
+				s.migrating = false
+			}
 		}
 	}
 
@@ -1156,14 +1181,37 @@ func (s *System) step(cpu int) error {
 			// break the sharing, which remaps the page to a private frame
 			// before the write completes — so the translation just
 			// obtained is stale and the walk retries, exactly the
-			// post-shootdown re-walk real hardware performs.
+			// post-shootdown re-walk real hardware performs. On the
+			// parallel engine the sharing bitmaps are frozen mid-epoch, so
+			// the check is a pure read; the break itself is barrier work
+			// and the epoch's write lands on the pre-break frame (see
+			// opKSMBreak).
 			if s.ksmOn && acc.Write {
-				if blat, broke := s.hyp.KSMWriteBreak(cpu, vm, gpp, s.clock[cpu]); broke {
+				if pc != nil {
+					if s.hyp.KSMShared(vm, gpp) {
+						s.par.log.Append(cpu, opKSMBreak, 0, packVMGPP(vm, gpp), cache.KindData, s.clock[cpu])
+					}
+				} else if blat, broke := s.hyp.KSMWriteBreak(cpu, vm, gpp, s.clock[cpu]); broke {
 					s.clock[cpu] += blat
 					continue
 				}
 			}
 			break
+		}
+		if pc != nil {
+			// The parallel engine parks the CPU instead of retrying: the
+			// barrier runs HandleFault in merged order and unparks it, and
+			// the reference resumes at this stage next epoch.
+			pc.faultStreak++
+			if pc.faultStreak > 64 {
+				//hatric:alloc-ok cold error exit; a livelock aborts the whole run
+				return fmt.Errorf("sim: CPU %d livelocked faulting on gvp %#x (parallel engine)", cpu, uint64(gvp))
+			}
+			pc.pendValid = true
+			pc.pendAcc = acc
+			pc.parked = true
+			s.par.log.Append(cpu, opFault, 0, packVMGPP(vm, fault.GPP), cache.KindData, s.clock[cpu])
+			return nil
 		}
 		if attempt >= 4 {
 			//hatric:alloc-ok cold error exit; a livelock aborts the whole run
@@ -1175,20 +1223,38 @@ func (s *System) step(cpu int) error {
 		}
 		s.clock[cpu] += hlat
 	}
+	if pc != nil {
+		pc.faultStreak = 0
+		pc.pendValid = false
+	}
 
 	// Maintain the nested accessed bit on every reference (the paper's
 	// trace-driven setup gives its LRU policy precise access information;
 	// relying on walk-time-only updates would starve CLOCK of signal for
-	// exactly the protocols that avoid TLB flushes).
-	s.vms[vm].Nested.SetAccessed(gpp, true)
+	// exactly the protocols that avoid TLB flushes). The parallel engine
+	// logs it (deduped) instead of writing the shared page tables; the
+	// barrier ORs the bits in before any eviction policy can read them.
+	if pc != nil {
+		packed := packVMGPP(vm, gpp)
+		slot := (packed * 0x9E3779B97F4A7C15) >> (64 - accFilterBits)
+		if pc.accFilter[slot] != packed+1 {
+			pc.accFilter[slot] = packed + 1
+			//hatric:alloc-ok amortized capacity growth during warm-up epochs; steady state appends within capacity (parallel zero-alloc gate)
+			pc.accessed = append(pc.accessed, packed)
+		}
+	} else {
+		s.vms[vm].Nested.SetAccessed(gpp, true)
+	}
 
 	// Dirty-track guest writes for an in-flight migration of this VM.
 	if s.migrating && acc.Write {
-		s.hyp.NoteMigrationWrite(cpu, vm, gpp)
+		s.hvWork(cpu, opMigWrite, packVMGPP(vm, gpp))
 	}
 
 	// Stale-translation audit: the paper's correctness property is that
-	// translation coherence never lets a CPU use a stale mapping.
+	// translation coherence never lets a CPU use a stale mapping. Page
+	// tables are frozen mid-epoch and every remap replays at a barrier, so
+	// the invariant carries over to the parallel engine unchanged.
 	if s.opts.CheckStale {
 		want, ok := s.vms[vm].Translate(pid, gvp)
 		if !ok || want != spp {
@@ -1199,7 +1265,8 @@ func (s *System) step(cpu int) error {
 		}
 	}
 
-	// The data access itself.
+	// The data access itself. On the parallel engine, misses past the L2
+	// defer (hierarchy deferredRead/deferredWrite).
 	spa := spp.Addr() + arch.SPA(acc.VA.Offset())
 	if acc.Write {
 		s.clock[cpu] += s.hier.Write(cpu, spa, cache.KindData, s.clock[cpu])
@@ -1211,12 +1278,51 @@ func (s *System) step(cpu int) error {
 	// reference: the slab is drained and the generator has nothing more to
 	// fill it with. Identical timing to the unbatched stream.Done() check.
 	if vc.bufPos == vc.bufLen && vc.stream.Done() {
-		vc.finished = true
-		vc.done = s.clock[cpu]
-		s.done[cpu] = s.clock[cpu]
-		s.active--
+		s.retire(cpu, vc)
 	}
 	return nil
+}
+
+// retire finishes vc on cpu at the CPU's current clock. Only the serial
+// engine counts it out of s.active here: parallel workers must not write
+// shared scalars mid-epoch, so the barrier recounts s.active instead.
+func (s *System) retire(cpu int, vc *vcpuState) {
+	vc.finished = true
+	vc.done = s.clock[cpu]
+	s.done[cpu] = s.clock[cpu]
+	if s.par == nil {
+		s.active--
+	}
+}
+
+// hvWork performs hypervisor work op for cpu: now on the serial engine,
+// or logged at the CPU's clock on the parallel one, whose barrier replays
+// it through runHV at that cycle (applyEvent). The work mutates shared
+// page tables and issues coherent remaps, so workers must not run it
+// mid-epoch; its triggers still fire on the same per-CPU reference counts
+// on both engines.
+func (s *System) hvWork(cpu int, op coherence.DeferredOp, arg uint64) {
+	if s.par != nil {
+		s.par.log.Append(cpu, op, 0, arg, cache.KindData, s.clock[cpu])
+		return
+	}
+	s.runHV(cpu, op, arg, s.clock[cpu])
+}
+
+// runHV executes hypervisor work op for cpu at cycle now, charging its
+// latency to cpu.
+func (s *System) runHV(cpu int, op coherence.DeferredOp, arg uint64, now arch.Cycles) {
+	switch op {
+	case opDefrag:
+		s.clock[cpu] += s.hyp.Defrag(cpu, int(arg), now)
+	case opKSMScan:
+		s.clock[cpu] += s.hyp.KSMScan(cpu, now)
+	case opCompact:
+		s.clock[cpu] += s.hyp.Compact(cpu, now)
+	case opMigWrite:
+		vm, gpp := unpackVMGPP(arg)
+		s.hyp.NoteMigrationWrite(cpu, vm, gpp)
+	}
 }
 
 // collect aggregates counters, merges translation-structure statistics, and
@@ -1240,18 +1346,10 @@ func (s *System) collect() *Result {
 	if s.sched {
 		for cpu := range s.cnt {
 			s.attribute(cpu, s.vmOf[cpu])
-		}
-		if s.par != nil {
-			// Fold the per-(CPU, VM) attribution matrix the workers filled
-			// race-free into the per-VM aggregates, in CPU order.
-			for cpu := range s.par.perVM {
-				for v := range s.par.perVM[cpu] {
-					s.perVM[v].Add(&s.par.perVM[cpu][v])
-					s.par.perVM[cpu][v].Reset()
-				}
+			for v := range s.perVM[cpu] {
+				r.PerVM[v].Add(&s.perVM[cpu][v])
 			}
 		}
-		copy(r.PerVM, s.perVM)
 	}
 	for i, c := range s.cnt {
 		r.PerCPU[i] = *c

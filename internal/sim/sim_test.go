@@ -187,6 +187,12 @@ func TestBadOptionsRejected(t *testing.T) {
 			{Spec: smokeSpec(), CPUs: []int{0}},
 			{Spec: smokeSpec(), CPUs: []int{0}}}}, // CPU double-booked
 	}
+	for _, pages := range []int{0, -5} { // footprint not positive
+		spec := smokeSpec()
+		spec.FootprintPages = pages
+		cases = append(cases, Options{Config: cfg, Protocol: "hatric",
+			Workloads: SingleWorkload(spec, 1)})
+	}
 	for i, opts := range cases {
 		if _, err := New(opts); err == nil {
 			t.Errorf("case %d: invalid options accepted", i)
