@@ -5,6 +5,10 @@
 // nonzero when the median regresses more than the allowed fraction below
 // the baseline.
 //
+// The benchmark runs with -benchmem, and the artifact records the median
+// heap bytes and allocations per op next to throughput. Like the sweeps
+// below, the memory figures are informational and never gate.
+//
 // It also times one whole sweep — a paperfigs-quick campaign run
 // in-process — and records its wall-clock in the artifact. Single-run
 // refs/sec measures the simulator inner loop; the sweep wall-clock is the
@@ -31,6 +35,7 @@ import (
 	"os/exec"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -50,7 +55,11 @@ type Report struct {
 	// MinRefsSec is the worst run of the series: on a loaded runner the
 	// median still wanders, so the artifact keeps the conservative end of
 	// the trajectory observable alongside it.
-	MinRefsSec     float64 `json:"min_refs_per_sec"`
+	MinRefsSec float64 `json:"min_refs_per_sec"`
+	// BytesPerOp and AllocsPerOp are the medians of -benchmem's B/op and
+	// allocs/op over the same runs (informational; never gate).
+	BytesPerOp     float64 `json:"bytes_per_op"`
+	AllocsPerOp    float64 `json:"allocs_per_op"`
 	Baseline       float64 `json:"baseline_refs_per_sec,omitempty"`
 	Ratio          float64 `json:"ratio_vs_baseline,omitempty"`
 	MaxRegression  float64 `json:"max_regression"`
@@ -186,7 +195,19 @@ type Baseline struct {
 	Note          string  `json:"note,omitempty"`
 }
 
-var benchLine = regexp.MustCompile(`BenchmarkSimulatorThroughput\S*\s+\d+\s+(\S+) ns/op\s+(\S+) refs/op`)
+var benchLine = regexp.MustCompile(`BenchmarkSimulatorThroughput\S*\s+\d+\s+(\S+) ns/op\s+(\S+) refs/op\s+(\d+) B/op\s+(\d+) allocs/op`)
+
+// median returns the median of xs (the mean of the middle two for an even
+// count); xs must be non-empty.
+func median(xs []float64) float64 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	n := len(sorted)
+	if n%2 == 0 {
+		return (sorted[n/2-1] + sorted[n/2]) / 2
+	}
+	return sorted[n/2]
+}
 
 func main() {
 	count := flag.Int("count", 5, "benchmark repetitions")
@@ -202,7 +223,7 @@ func main() {
 	flag.Parse()
 
 	cmd := exec.Command("go", "test", "-run", "^$",
-		"-bench", "BenchmarkSimulatorThroughput",
+		"-bench", "BenchmarkSimulatorThroughput", "-benchmem",
 		"-benchtime", *benchtime, "-count", strconv.Itoa(*count), ".")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
@@ -210,32 +231,31 @@ func main() {
 		os.Exit(1)
 	}
 
-	var refsSec []float64
+	var refsSec, bytesOp, allocsOp []float64
 	for _, m := range benchLine.FindAllStringSubmatch(string(out), -1) {
 		nsOp, err1 := strconv.ParseFloat(m[1], 64)
 		refsOp, err2 := strconv.ParseFloat(m[2], 64)
-		if err1 != nil || err2 != nil || nsOp <= 0 {
+		bOp, err3 := strconv.ParseFloat(m[3], 64)
+		aOp, err4 := strconv.ParseFloat(m[4], 64)
+		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || nsOp <= 0 {
 			continue
 		}
 		refsSec = append(refsSec, refsOp/(nsOp/1e9))
+		bytesOp = append(bytesOp, bOp)
+		allocsOp = append(allocsOp, aOp)
 	}
 	if len(refsSec) == 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: no benchmark lines parsed from:\n%s", out)
 		os.Exit(1)
 	}
 
-	sorted := append([]float64(nil), refsSec...)
-	sort.Float64s(sorted)
-	median := sorted[len(sorted)/2]
-	if len(sorted)%2 == 0 {
-		median = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
-	}
-
 	rep := Report{
 		Benchmark:     "BenchmarkSimulatorThroughput",
 		RefsPerSec:    refsSec,
-		MedianRefsSec: median,
-		MinRefsSec:    sorted[0],
+		MedianRefsSec: median(refsSec),
+		MinRefsSec:    slices.Min(refsSec),
+		BytesPerOp:    median(bytesOp),
+		AllocsPerOp:   median(allocsOp),
 		MaxRegression: *maxReg,
 		Pass:          true,
 		Note:          *note,
@@ -244,7 +264,7 @@ func main() {
 		var base Baseline
 		if err := json.Unmarshal(data, &base); err == nil && base.MedianRefsSec > 0 {
 			rep.Baseline = base.MedianRefsSec
-			rep.Ratio = median / base.MedianRefsSec
+			rep.Ratio = rep.MedianRefsSec / base.MedianRefsSec
 			rep.BaselineSource = *baselinePath
 			rep.Pass = rep.Ratio >= 1-*maxReg
 		}
@@ -278,14 +298,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: writing %s: %v\n", *outPath, err)
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: median %.0f refs/sec over %d runs", median, len(refsSec))
+	fmt.Printf("benchgate: median %.0f refs/sec over %d runs", rep.MedianRefsSec, len(refsSec))
 	if rep.Baseline > 0 {
 		fmt.Printf(" (%.2fx of baseline %.0f)", rep.Ratio, rep.Baseline)
 	}
 	fmt.Println()
 	if !rep.Pass {
 		fmt.Fprintf(os.Stderr, "benchgate: FAIL: median %.0f refs/sec is below %.0f%% of baseline %.0f\n",
-			median, (1-*maxReg)*100, rep.Baseline)
+			rep.MedianRefsSec, (1-*maxReg)*100, rep.Baseline)
 		os.Exit(1)
 	}
 }

@@ -314,7 +314,7 @@ func TestEagerEvictionDemotion(t *testing.T) {
 }
 
 func TestDirectoryEnsureVictimNotSelf(t *testing.T) {
-	d := NewDirectory(arch.DirectoryConfig{Entries: 1})
+	d := NewDirectory(arch.DirectoryConfig{Entries: 1}, 2)
 	e1, _, _, _ := d.Ensure(1)
 	e1.AddSharer(0, cache.KindData)
 	_, vTag, vEntry, evicted := d.Ensure(2)
@@ -344,5 +344,42 @@ func TestEntrySharerOps(t *testing.T) {
 	}
 	if !e.Empty() {
 		t.Errorf("Empty() disagrees")
+	}
+}
+
+// TestDefaultDirectoryChurnAllocatesNothing checks that at the default
+// directory size, where capacity eviction is unreachable, directory churn
+// allocates nothing once the table has reached its high-water mark: every
+// CPU streams data reads over far more lines than its L2 holds, so each
+// read inserts an entry and evicts another's, and no insertion-order ring
+// grows behind them.
+func TestDefaultDirectoryChurnAllocatesNothing(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	cnt := make([]*stats.Counters, cfg.NumCPUs)
+	for i := range cnt {
+		cnt[i] = &stats.Counters{}
+	}
+	h := NewHierarchy(&cfg, memdev.New(cfg.Mem), cnt)
+	if h.dir.fifo != nil {
+		t.Fatalf("default directory (%d entries, bound %d) allocated an eviction ring",
+			cfg.Dir.Entries, maxLiveEntries(&cfg, h.L2(0).Lines()))
+	}
+	const lines = 64 << 10
+	dataBase := arch.SPA(cfg.Mem.PTFrames) << arch.PageShift
+	i := 0
+	read := func(n int) {
+		for ; n > 0; n-- {
+			h.Read(i%cfg.NumCPUs, dataBase+arch.SPA(i%lines)<<arch.LineShift, cache.KindData, arch.Cycles(i))
+			i++
+		}
+	}
+	read(200_000)
+	const window = 1_000_000
+	if n := testing.AllocsPerRun(1, func() { read(window) }); n != 0 {
+		t.Errorf("directory churn allocates: %.0f allocs in %d reads", n, window)
+	}
+	d := h.Directory()
+	if d.Inserts < window || d.CapacityEvicts != 0 {
+		t.Errorf("want churn without capacity evictions: %d inserts, %d capacity evictions", d.Inserts, d.CapacityEvicts)
 	}
 }

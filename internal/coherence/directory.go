@@ -6,6 +6,8 @@
 package coherence
 
 import (
+	"fmt"
+
 	"hatric/internal/arch"
 	"hatric/internal/cache"
 )
@@ -51,11 +53,23 @@ const emptyTag = ^uint64(0)
 // forces back-invalidations, as in multi-grain directories (Zebchuk et al.).
 //
 // Entries live inline in an open-addressed table (linear probing, backshift
-// deletion), so the steady state allocates nothing: no per-insert boxing,
-// and — capacity-bounded — no rehashing, since the table is sized for the
-// configured entry count up front. Insertion order for capacity eviction is
-// an intrusive FIFO ring of tags rather than an ever-advancing slice, which
-// also fixes the old fifo = fifo[1:] backing-array leak.
+// deletion) that doubles at half load, so the steady state allocates
+// nothing: no per-insert boxing, and no rehashing once the run's live-entry
+// high-water mark is reached.
+//
+// Insertion order for capacity eviction is an intrusive FIFO ring of tags.
+// The ring is popped only when live entries exceed the capacity, yet it
+// takes a push on every insert, so where eviction never happens it would
+// hold every tag ever inserted: 8 bytes per directory miss, for the whole
+// run. It therefore exists only when capacity eviction is reachable.
+// NewHierarchy passes NewDirectory the most entries its machine can keep
+// live (maxLiveEntries): NumCPUs × L2 lines for lines outside the
+// page-table heap, whose entries live only while some sharer's inclusive
+// L2 holds the line, plus PTFrames × 64 page-table lines, each of which
+// lazy demotion may keep, plus one for the miss in flight. A directory
+// whose Entries is at least that bound, or that never back-invalidates,
+// keeps no ring. The default 2^18 entries exceed the default machine's
+// bound of 139,265 (16 × 512 + 2,048 × 64 + 1).
 type Directory struct {
 	cfg arch.DirectoryConfig
 	// tags is the probe array (emptyTag = free); entries holds the
@@ -68,9 +82,9 @@ type Directory struct {
 	live    int
 
 	// fifo is a circular buffer of insertion-order tags (power-of-two
-	// length). Tags of removed entries go stale in place and are skipped
-	// at pop time, exactly like the stale queue entries of the slice-based
-	// implementation.
+	// length), nil when capacity eviction is unreachable. Tags of removed
+	// entries go stale in place and are skipped at pop time, exactly like
+	// the stale queue entries of the slice-based implementation.
 	fifo     []uint64
 	fifoHead int
 	fifoLen  int
@@ -81,20 +95,34 @@ type Directory struct {
 	CapacityEvicts uint64
 }
 
-// NewDirectory builds a directory with the given configuration. The table
-// starts small and doubles at half load: directories are configured for
-// worst-case capacity (2^18 entries by default) but live entry counts track
-// cache residency, so demand sizing keeps the probe working set — the
-// hottest random-access footprint in the simulator — small and
-// cache-resident. A bounded directory stops growing at its configured
-// capacity; growth allocations stop once the run's high-water mark is hit.
-func NewDirectory(cfg arch.DirectoryConfig) *Directory {
+// NewDirectory builds a directory with the given configuration. maxLive is
+// the most entries its owner can ever hold live at once. Capacity eviction
+// is reachable only when the directory back-invalidates and its Entries is
+// below maxLive; otherwise no insertion-order ring is kept, and Ensure
+// panics if live entries ever exceed Entries, which only a wrong maxLive
+// can cause.
+//
+// The table starts small and doubles at half load: directories are
+// configured for worst-case capacity (2^18 entries by default) but live
+// entry counts track cache residency, so demand sizing keeps the probe
+// working set — the hottest random-access footprint in the simulator —
+// small and cache-resident. Growth allocations stop once the run's
+// high-water mark is hit.
+func NewDirectory(cfg arch.DirectoryConfig, maxLive int) *Directory {
 	d := &Directory{cfg: cfg}
 	d.tags = newTags(1024)
 	d.entries = make([]Entry, 1024)
 	d.mask = uint64(1024 - 1)
-	d.fifo = make([]uint64, 16)
+	if d.backInvalidates() && cfg.Entries < maxLive {
+		d.fifo = make([]uint64, 16)
+	}
 	return d
+}
+
+// backInvalidates reports whether the directory has a finite capacity that
+// it enforces by evicting entries.
+func (d *Directory) backInvalidates() bool {
+	return !d.cfg.NoBackInvalidation && d.cfg.Entries > 0
 }
 
 // newTags allocates a probe array with every slot free.
@@ -181,7 +209,7 @@ func (d *Directory) deleteSlot(i int) {
 // fifoPush appends tag to the insertion-order ring, doubling it if full.
 func (d *Directory) fifoPush(tag uint64) {
 	if d.fifoLen == len(d.fifo) {
-		//hatric:alloc-ok ring doubling is amortized warm-up work; steady state never grows
+		//hatric:alloc-ok ring doubling is amortized warm-up work; a ring exists only where capacity evictions pop it
 		bigger := make([]uint64, len(d.fifo)*2)
 		n := copy(bigger, d.fifo[d.fifoHead:])
 		copy(bigger[n:], d.fifo[:d.fifoHead])
@@ -236,11 +264,15 @@ func (d *Directory) Ensure(tag uint64) (e *Entry, victimTag uint64, victimEntry 
 	d.tags[i] = tag
 	d.entries[i] = Entry{owner: -1}
 	d.live++
-	d.fifoPush(tag)
 	d.Inserts++
-	if d.cfg.NoBackInvalidation || d.cfg.Entries <= 0 {
+	if d.fifo == nil {
+		if d.backInvalidates() && d.live > d.cfg.Entries {
+			//hatric:alloc-ok cold invariant-violation panic; unreachable while maxLive bounds the live entries
+			panic(fmt.Sprintf("coherence: %d live directory entries exceed capacity %d; the maxLive bound is wrong", d.live, d.cfg.Entries))
+		}
 		return &d.entries[i], 0, Entry{}, false
 	}
+	d.fifoPush(tag)
 	for d.live > d.cfg.Entries && d.fifoLen > 0 {
 		vt := d.fifoPop()
 		if vt == tag {

@@ -68,7 +68,6 @@ func NewHierarchy(cfg *arch.Config, mem *memdev.Memory, counters []*stats.Counte
 		cost: cfg.Cost,
 		mem:  mem,
 		llc:  cache.New(cfg.LLC),
-		dir:  NewDirectory(cfg.Dir),
 		cnt:  counters,
 	}
 	// Banked allocation: the CPUs' private caches share set-interleaved
@@ -76,7 +75,25 @@ func NewHierarchy(cfg *arch.Config, mem *memdev.Memory, counters []*stats.Counte
 	// threads share a footprint — stay adjacent in host memory.
 	h.l1 = cache.NewBank(cfg.NumCPUs, cfg.L1)
 	h.l2 = cache.NewBank(cfg.NumCPUs, cfg.L2)
+	h.dir = NewDirectory(cfg.Dir, maxLiveEntries(cfg, h.l2[0].Lines()))
 	return h
+}
+
+// maxLiveEntries bounds the directory entries live at any instant, counted
+// by where the line sits in system-physical memory:
+//
+//   - A line outside the page-table heap is only ever accessed as data, so
+//     its entry lives exactly as long as some sharer's inclusive L2 holds
+//     it: every path that drops a line from an L2 (victim, write
+//     invalidation, back-invalidation) clears that sharer, and the last
+//     sharer removes the entry. At most NumCPUs × L2 lines such entries.
+//   - Page-table lines come only from the PT heap, bump-allocated from
+//     frame 0, and lazy demotion may keep an entry for each of its
+//     PTFrames × 64 lines after every cached copy is gone.
+//   - A private miss inserts its entry before the L2 fill evicts a victim
+//     and drops the victim's entry: one more, transiently.
+func maxLiveEntries(cfg *arch.Config, l2Lines int) int {
+	return cfg.NumCPUs*l2Lines + cfg.Mem.PTFrames*(arch.PageSize/arch.LineSize) + 1
 }
 
 // SetTranslationHook installs the translation-coherence hook. relay selects
@@ -537,10 +554,4 @@ func (h *Hierarchy) backInvalidate(tag uint64, e *Entry) {
 			h.cnt[t].SelectiveInvalidations += uint64(dropped)
 		}
 	}
-}
-
-// FlushPrivate invalidates cpu's private caches (used by tests).
-func (h *Hierarchy) FlushPrivate(cpu int) {
-	h.l1[cpu].Flush()
-	h.l2[cpu].Flush()
 }

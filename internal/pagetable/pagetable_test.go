@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -60,6 +61,56 @@ func TestStoreBounds(t *testing.T) {
 		}
 	}()
 	s.Read8(4096)
+}
+
+// TestStoreGrowsOnFirstWrite checks the lazily materialized heap: a fresh
+// store allocates less than one frame, unwritten words read as zero even
+// below a written frame, InHeap still spans the whole heap, and accesses
+// at or past the limit still panic.
+func TestStoreGrowsOnFirstWrite(t *testing.T) {
+	const frames = 2048
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewStore(frames)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= arch.PageSize {
+		t.Errorf("NewStore(%d) allocated %d bytes before any write; want less than one %d-byte frame",
+			frames, got, arch.PageSize)
+	}
+
+	limit := arch.SPA(frames * arch.PageSize)
+	s.Write8(5*arch.PageSize+16, 42)
+	for _, spa := range []arch.SPA{0, 3*arch.PageSize + 8, 5 * arch.PageSize, 5*arch.PageSize + 24, 6 * arch.PageSize, limit - 8} {
+		if got := s.Read8(spa); got != 0 {
+			t.Errorf("unwritten word %#x reads %d, want 0", uint64(spa), got)
+		}
+	}
+	s.Write8(limit-8, 7)
+	if s.Read8(5*arch.PageSize+16) != 42 || s.Read8(limit-8) != 7 {
+		t.Errorf("written words lost across growth: %d, %d", s.Read8(5*arch.PageSize+16), s.Read8(limit-8))
+	}
+	if !s.InHeap(0) || !s.InHeap(limit-1) || s.InHeap(limit) {
+		t.Errorf("InHeap boundary moved with the materialized prefix")
+	}
+
+	for _, c := range []struct {
+		name   string
+		access func()
+	}{
+		{"read at limit", func() { s.Read8(limit) }},
+		{"write at limit", func() { s.Write8(limit, 1) }},
+		{"read past limit", func() { s.Read8(limit + arch.PageSize) }},
+		{"write past limit", func() { s.Write8(limit+arch.PageSize, 1) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", c.name)
+				}
+			}()
+			c.access()
+		}()
+	}
 }
 
 func TestNestedMapTranslate(t *testing.T) {

@@ -60,17 +60,24 @@ func (e PTE) withFlag(f PTE, on bool) PTE {
 // Store holds the simulated contents of the page-table heap: the SPA range
 // [0, frames*PageSize). Only page-table pages have simulated contents; data
 // pages never do.
+//
+// Frames materialize on first write. The heap is bump-allocated from frame
+// 0 (memdev.AllocPT), so one zeroed prefix of whole frames covers every
+// frame ever written, and it grows by doubling when a write lands past it.
+// Reads inside the heap but past the prefix return 0, as a heap zeroed up
+// front would.
 type Store struct {
 	words []uint64
 	limit arch.SPA
 }
 
-// NewStore sizes the heap to the given number of page-table frames.
+// wordsPerFrame is the number of 8-byte words in one page-table frame.
+const wordsPerFrame = arch.PageSize / 8
+
+// NewStore sizes the heap to the given number of page-table frames; no
+// frame's memory is allocated until it is written.
 func NewStore(frames int) *Store {
-	return &Store{
-		words: make([]uint64, frames*(arch.PageSize/8)),
-		limit: arch.SPA(frames * arch.PageSize),
-	}
+	return &Store{limit: arch.SPA(frames * arch.PageSize)}
 }
 
 // Read8 loads the 8-byte word at spa.
@@ -79,7 +86,10 @@ func (s *Store) Read8(spa arch.SPA) uint64 {
 		//hatric:alloc-ok cold bounds-violation panic; unreachable on a well-formed PT heap
 		panic(fmt.Sprintf("pagetable: read outside PT heap: %#x", uint64(spa)))
 	}
-	return s.words[spa>>3]
+	if i := int(spa >> 3); i < len(s.words) {
+		return s.words[i]
+	}
+	return 0
 }
 
 // Write8 stores the 8-byte word at spa.
@@ -88,7 +98,22 @@ func (s *Store) Write8(spa arch.SPA, v uint64) {
 		//hatric:alloc-ok cold bounds-violation panic; unreachable on a well-formed PT heap
 		panic(fmt.Sprintf("pagetable: write outside PT heap: %#x", uint64(spa)))
 	}
-	s.words[spa>>3] = v
+	i := int(spa >> 3)
+	if i >= len(s.words) {
+		s.grow(i)
+	}
+	s.words[i] = v
+}
+
+// grow extends the materialized prefix to cover word i: to the larger of
+// the frame holding i and twice the current prefix, capped at the heap.
+func (s *Store) grow(i int) {
+	n := max((i/wordsPerFrame+1)*wordsPerFrame, 2*len(s.words))
+	n = min(n, int(s.limit>>3))
+	//hatric:alloc-ok doubling growth on first write to a new PT frame; bounded by the heap size
+	words := make([]uint64, n)
+	copy(words, s.words)
+	s.words = words
 }
 
 // ReadPTE loads the entry at spa.

@@ -8,19 +8,19 @@ import (
 
 // TestSteadyStateZeroAllocs is the allocation-regression gate for the
 // flattened hot path: once the machine is warm (translation structures and
-// caches filled, the directory table and FIFO ring at their high-water
-// marks, page-table leaf caches populated), simulating a reference must
-// not allocate at all. The directory's open-addressed table, the flat
-// cache/tstruct arrays, the paged page-table caches, the walker's scratch
-// buffer, and the min-clock heap all exist precisely so this holds.
+// caches filled, the directory table at its high-water mark, page-table
+// leaf caches populated), simulating a reference must not allocate at all.
+// The directory's open-addressed table and ring-free default size, the
+// flat cache/tstruct arrays, the paged page-table caches, the walker's
+// scratch buffer, and the min-clock heap all exist precisely so this
+// holds. Each gate measures its whole window in one run, because
+// testing.AllocsPerRun divides by the run count with integer division and
+// would hide fewer allocations than runs.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	spec := smokeSpec()
 	spec.Refs = 100_000_000 // never exhausts during the test
 	cfg := smokeConfig()
 	cfg.Mem.HBMFrames = 4096 // inf-hbm: no faults, pure steady state
-	// A small directory reaches capacity during warmup, so its FIFO ring
-	// stops growing (pops balance pushes) before measurement starts.
-	cfg.Dir.Entries = 4096
 	sys, err := New(Options{
 		Config:    cfg,
 		Protocol:  "hatric",
@@ -44,8 +44,9 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		}
 	}
 	step(120_000) // warm every structure past its high-water mark
-	if avg := testing.AllocsPerRun(50, func() { step(200) }); avg != 0 {
-		t.Errorf("steady-state simulation allocates: %.2f allocs per 200 references", avg)
+	const window = 50 * 200
+	if n := testing.AllocsPerRun(1, func() { step(window) }); n != 0 {
+		t.Errorf("steady-state simulation allocates: %.0f allocs in %d references", n, window)
 	}
 }
 
@@ -62,7 +63,6 @@ func TestSteadyStateZeroAllocsStorms(t *testing.T) {
 	spec.Threads = 2
 	cfg := smokeConfig()
 	cfg.Mem.HBMFrames = 4096
-	cfg.Dir.Entries = 4096
 	sys, err := New(Options{
 		Config:   cfg,
 		Protocol: "hatric",
@@ -91,8 +91,9 @@ func TestSteadyStateZeroAllocsStorms(t *testing.T) {
 		}
 	}
 	step(120_000)
-	if avg := testing.AllocsPerRun(50, func() { step(400) }); avg != 0 {
-		t.Errorf("storm steady state allocates: %.2f allocs per 400 references", avg)
+	const window = 50 * 400
+	if n := testing.AllocsPerRun(1, func() { step(window) }); n != 0 {
+		t.Errorf("storm steady state allocates: %.0f allocs in %d references", n, window)
 	}
 	ksm := sys.hyp.KSMReport()
 	if ksm.Merges == 0 || ksm.Breaks == 0 || sys.hyp.CompactionMoves() == 0 {
@@ -112,7 +113,6 @@ func TestSteadyStateZeroAllocsParallel(t *testing.T) {
 	spec.Refs = 100_000_000 // never exhausts during the test
 	cfg := smokeConfig()
 	cfg.Mem.HBMFrames = 4096 // inf-hbm: no faults, pure steady state
-	cfg.Dir.Entries = 4096
 	sys, err := New(Options{
 		Config:       cfg,
 		Protocol:     "hatric",
@@ -138,7 +138,8 @@ func TestSteadyStateZeroAllocsParallel(t *testing.T) {
 		}
 	}
 	epoch(40) // warm every structure and log past its high-water mark
-	if avg := testing.AllocsPerRun(20, func() { epoch(2) }); avg != 0 {
-		t.Errorf("parallel steady state allocates: %.2f allocs per 2 epochs", avg)
+	const window = 20 * 2
+	if n := testing.AllocsPerRun(1, func() { epoch(window) }); n != 0 {
+		t.Errorf("parallel steady state allocates: %.0f allocs in %d epochs", n, window)
 	}
 }
