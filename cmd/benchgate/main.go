@@ -16,6 +16,11 @@
 // the artifact keeps both trajectories observable. The sweep is
 // informational only: it never fails the gate.
 //
+// With -parallel it times the parallel engine on one machine at each
+// worker count, and records the heap each run allocates and the host's
+// own 2-goroutine scaling ceiling next to the speedups. These never gate
+// either.
+//
 // The committed baseline (bench/baseline_throughput.json) records the
 // median refs/sec on the machine that set it, so the gate is meaningful on
 // comparable runners and the artifact keeps the refs/sec trajectory
@@ -38,6 +43,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"hatric/internal/arch"
@@ -86,7 +92,14 @@ type Report struct {
 	ParallelRefsSec  []float64 `json:"parallel_refs_per_sec,omitempty"`
 	ParallelSpeedup  []float64 `json:"parallel_speedup_vs_serial,omitempty"`
 	ParallelHostCPUs int       `json:"parallel_host_cpus,omitempty"`
-	ParallelNote     string    `json:"parallel_note,omitempty"`
+	// ParallelAllocMB is the heap the sweep machine allocates (TotalAlloc
+	// growth over sim.New plus Run) in one run at each worker count.
+	ParallelAllocMB []float64 `json:"parallel_alloc_mb,omitempty"`
+	// ParallelHostScaling is the host's own ceiling for a 2-worker
+	// speedup: a fixed integer kernel's rate on 2 goroutines over its rate
+	// on 1, measured next to the sweep.
+	ParallelHostScaling float64 `json:"parallel_host_scaling,omitempty"`
+	ParallelNote        string  `json:"parallel_note,omitempty"`
 }
 
 // runSweep times a paperfigs-quick campaign (every figure the default
@@ -133,7 +146,8 @@ func runSweep(rep *Report, refs uint64) error {
 // paged machine (two 4-thread VMs sharing an 8-pCPU host under paging
 // pressure) at workers 0 (serial) and 1/2/4/8, and fills the parallel_*
 // series. Each point keeps the best of `repeats` runs — wall-clock
-// throughput on a shared runner is noisy downward only.
+// throughput on a shared runner is noisy downward only — and the heap
+// allocated by the first.
 func runParallelSweep(rep *Report, repeats int) error {
 	spec, err := workload.ByName("canneal")
 	if err != nil {
@@ -160,8 +174,11 @@ func runParallelSweep(rep *Report, repeats int) error {
 	}
 	serial := 0.0
 	for _, workers := range []int{0, 1, 2, 4, 8} {
-		best := 0.0
+		best, allocMB := 0.0, 0.0
 		for i := 0; i < repeats; i++ {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
 			sys, err := sim.New(build(workers))
 			if err != nil {
 				return err
@@ -174,6 +191,10 @@ func runParallelSweep(rep *Report, repeats int) error {
 			if rs := float64(res.Agg.MemRefs) / time.Since(start).Seconds(); rs > best {
 				best = rs
 			}
+			if i == 0 {
+				runtime.ReadMemStats(&after)
+				allocMB = float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+			}
 		}
 		if workers == 0 {
 			serial = best
@@ -181,11 +202,47 @@ func runParallelSweep(rep *Report, repeats int) error {
 		rep.ParallelWorkers = append(rep.ParallelWorkers, workers)
 		rep.ParallelRefsSec = append(rep.ParallelRefsSec, best)
 		rep.ParallelSpeedup = append(rep.ParallelSpeedup, best/serial)
+		rep.ParallelAllocMB = append(rep.ParallelAllocMB, allocMB)
 	}
 	rep.ParallelHostCPUs = runtime.NumCPU()
-	rep.ParallelNote = "workers=0 is the serial engine; speedup ceiling is min(workers, host cores)." +
+	rep.ParallelHostScaling = hostScaling(repeats)
+	rep.ParallelNote = "workers=0 is the serial engine; speedup ceiling is min(workers, host cores)," +
+		" and parallel_host_scaling is what 2 goroutines of plain integer work reach on this host." +
 		" On a single-core host the series measures epoch-barrier overhead, not scaling."
 	return nil
+}
+
+// kernelSink keeps hostScaling's kernel results live.
+var kernelSink [2]uint64
+
+// hostScaling measures a fixed integer kernel — a chain of 2^26 LCG steps
+// per goroutine, touching no memory — on 2 goroutines against 1, keeping
+// each side's best rate of `repeats`, and returns the ratio. A 2-worker
+// engine speedup on the same host cannot be expected to exceed it.
+func hostScaling(repeats int) float64 {
+	const steps = 1 << 26
+	rate := func(goroutines int) float64 {
+		best := 0.0
+		for r := 0; r < repeats; r++ {
+			var wg sync.WaitGroup
+			start := time.Now()
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					x := uint64(g + 1)
+					for i := 0; i < steps; i++ {
+						x = x*6364136223846793005 + 1442695040888963407
+					}
+					kernelSink[g] = x
+				}()
+			}
+			wg.Wait()
+			best = max(best, float64(goroutines*steps)/time.Since(start).Seconds())
+		}
+		return best
+	}
+	return rate(2) / rate(1)
 }
 
 // Baseline is the committed reference point.
@@ -287,9 +344,10 @@ func main() {
 			os.Exit(1)
 		}
 		for i, w := range rep.ParallelWorkers {
-			fmt.Printf("benchgate: parallel workers=%d: %.0f refs/sec (%.2fx serial)\n",
-				w, rep.ParallelRefsSec[i], rep.ParallelSpeedup[i])
+			fmt.Printf("benchgate: parallel workers=%d: %.0f refs/sec (%.2fx serial), %.1f MB allocated\n",
+				w, rep.ParallelRefsSec[i], rep.ParallelSpeedup[i], rep.ParallelAllocMB[i])
 		}
+		fmt.Printf("benchgate: host scaling, 2 goroutines over 1: %.2fx\n", rep.ParallelHostScaling)
 	}
 
 	data, _ := json.MarshalIndent(rep, "", "  ")

@@ -74,9 +74,10 @@
 // only per-CPU state — private caches, translation structures, clocks,
 // counters — against a frozen view of the shared machine; every
 // cross-shard effect (shared-cache fills, invalidation relays, directory
-// updates, page faults, storm daemons) is appended to a per-CPU deferred
-// log. At the epoch barrier the logs are merged in (cycle, cpu) order
-// and replayed serially through the serial code paths.
+// updates, page faults, storm daemons) is appended to a deferred log,
+// one lane per worker in which each of its CPUs fills one contiguous
+// segment. At the epoch barrier the CPUs' segments are merged in (cycle,
+// cpu) order and replayed serially through the serial code paths.
 //
 // Why this preserves determinism: each CPU's epoch execution is a pure
 // function of its own state plus the frozen shared state, and the merge

@@ -53,8 +53,8 @@ type Hierarchy struct {
 	// sim package's parallel epochs): Read/Write serve what they can from
 	// the caller's own private caches and append everything that would
 	// touch the LLC, the directory, the devices, or another CPU's state to
-	// the per-CPU log instead (see deferred.go). The sim arms it before
-	// each worker phase and disarms it at the barrier, so replays and
+	// the log instead (see deferred.go). The sim arms it before each
+	// worker phase and disarms it at the barrier, so replays and
 	// hypervisor work go through the unmodified serial paths below.
 	def *DeferredLog
 
@@ -364,7 +364,7 @@ func (h *Hierarchy) deferredRead(cpu int, spa arch.SPA, kind cache.IsPTKind, now
 	// Private miss: the LLC/directory consultation is a cross-shard effect.
 	// No counters here — the replay's full Read re-probes and counts the
 	// miss (or the cheap hit, if an earlier replay already filled the line).
-	h.def.Append(cpu, OpRead, spa, 0, kind, now)
+	h.def.Append(cpu, OpRead, uint64(spa), kind, now)
 	return 0
 }
 
@@ -384,7 +384,7 @@ func (h *Hierarchy) deferredWrite(cpu int, spa arch.SPA, kind cache.IsPTKind, no
 			return h.cost.L1Hit
 		}
 	}
-	h.def.Append(cpu, OpWrite, spa, 0, kind, now)
+	h.def.Append(cpu, OpWrite, uint64(spa), kind, now)
 	return 0
 }
 
@@ -400,7 +400,7 @@ func (h *Hierarchy) NoteTranslationFill(cpu int, spa arch.SPA, kind cache.IsPTKi
 	}
 	if h.def != nil {
 		// Epoch-deferred: the directory update is a cross-shard effect.
-		h.def.Append(cpu, OpTSFill, spa, 0, kind, h.def.Last(cpu))
+		h.def.Append(cpu, OpTSFill, uint64(spa), kind, h.def.Last(cpu))
 		return
 	}
 	tag := cache.Tag(spa)
@@ -429,7 +429,7 @@ func (h *Hierarchy) NoteTranslationEviction(cpu int, spa arch.SPA, kind cache.Is
 	if h.def != nil {
 		// Epoch-deferred: the demotion probes the directory and possibly
 		// removes a sharer — cross-shard, so it replays at the barrier.
-		h.def.Append(cpu, OpTSEvict, spa, 0, kind, h.def.Last(cpu))
+		h.def.Append(cpu, OpTSEvict, uint64(spa), kind, h.def.Last(cpu))
 		return
 	}
 	tag := cache.Tag(spa)

@@ -103,11 +103,11 @@ func TestSteadyStateZeroAllocsStorms(t *testing.T) {
 }
 
 // TestSteadyStateZeroAllocsParallel extends the allocation gate to the
-// epoch-barrier parallel engine: once the deferred-event logs, the
-// accessed-bit buffers, and every serial structure have reached their
+// epoch-barrier parallel engine: once the deferred log's lanes (events
+// and accessed-bit marks) and every serial structure have reached their
 // high-water marks, a full epoch — worker fan-out, barrier merge, replay —
-// must not allocate. The persistent workers, the reused per-CPU log
-// slices, and the capacity-keeping Reset exist precisely so this holds.
+// must not allocate. The persistent workers, the reused per-worker lanes,
+// and the capacity-keeping Reset exist precisely so this holds.
 func TestSteadyStateZeroAllocsParallel(t *testing.T) {
 	spec := smokeSpec()
 	spec.Refs = 100_000_000 // never exhausts during the test

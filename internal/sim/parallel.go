@@ -10,13 +10,15 @@ package sim
 // clocks, the vCPU runqueue of each pCPU. At step's effect sites every
 // cross-shard effect (shared-LLC fills, invalidation waves, directory
 // updates, faults, storm daemons, copy-on-write breaks, migration dirty
-// tracking) is appended to a per-CPU deferred-event log
-// (coherence.DeferredLog) instead of being performed. At the epoch
-// barrier the logs are merged in (cycle, cpu) order and replayed
-// serially through the serial engine's code paths. Because each CPU's
-// epoch execution is a pure function of its own state plus the frozen
-// shared state, and the merge order is a pure function of the per-CPU
-// event streams, the results are bit-identical for every worker count —
+// tracking) is appended to the deferred-event log (coherence.DeferredLog)
+// instead of being performed: one lane per worker, in which each of the
+// worker's CPUs, stepped one after another, fills one contiguous segment.
+// The nested accessed bits go to the same lanes. At the epoch barrier the
+// CPUs' segments are merged in (cycle, cpu) order and replayed serially
+// through the serial engine's code paths. Because each CPU's epoch
+// execution is a pure function of its own state plus the frozen shared
+// state, and the merge order is a pure function of the per-CPU event
+// streams, the results are bit-identical for every worker count —
 // ParallelCPUs is a throughput knob, not a model parameter. They are
 // NOT bit-identical to the serial engine: deferring shared-cache fills
 // and invalidation waves to the barrier shifts LLC/directory timing, so
@@ -58,8 +60,9 @@ const (
 	opMigWrite
 )
 
-// vmGPPShift packs (vm, gpp) into one DeferredEvent.Arg word; guest
-// physical page numbers stay far below 2^40.
+// vmGPPShift packs (vm, gpp) into one deferred-event payload: the VM id
+// takes the payload's top 8 bits, the guest physical page the 40 below
+// them. checkPayloads keeps a parallel run inside both bounds.
 const vmGPPShift = 40
 
 func packVMGPP(vm int, gpp arch.GPP) uint64 {
@@ -68,6 +71,29 @@ func packVMGPP(vm int, gpp arch.GPP) uint64 {
 
 func unpackVMGPP(v uint64) (int, arch.GPP) {
 	return int(v >> vmGPPShift), arch.GPP(v & (1<<vmGPPShift - 1))
+}
+
+// checkPayloads rejects a parallel machine whose deferred events could not
+// hold their payloads: the SPAs the hierarchy logs and the (vm, gpp)
+// pairs packVMGPP builds. A VM numbers its guest physical pages densely
+// from 1 and backs each with a frame of its own, so a frame count whose
+// every SPA fits also keeps every guest physical page below 2^40.
+func checkPayloads(mem arch.MemConfig, vms int) error {
+	const maxVMs = 1 << (coherence.PayloadBits - vmGPPShift)
+	if vms > maxVMs {
+		return fmt.Errorf("sim: the parallel engine packs VM ids into %d bits of a deferred-event payload, so it runs at most %d VMs, not %d",
+			coherence.PayloadBits-vmGPPShift, maxVMs, vms)
+	}
+	const maxFrames = (coherence.MaxPayload + 1) >> arch.PageShift
+	frames := 0
+	for _, n := range []int{mem.PTFrames, mem.HBMFrames, mem.DRAMFrames} {
+		if n > maxFrames-frames {
+			return fmt.Errorf("sim: the parallel engine logs system physical addresses in a %d-bit deferred-event payload, so the machine may have at most %d frames",
+				coherence.PayloadBits, maxFrames)
+		}
+		frames += n
+	}
+	return nil
 }
 
 // accFilterBits sizes each CPU's direct-mapped accessed-bit dedup filter.
@@ -90,9 +116,8 @@ type parCPU struct {
 	// as the balloon/migration pump budget (the serial engine pumps once
 	// per reference).
 	steps uint64
-	// accessed logs the (vm, gpp) pairs referenced this epoch, deduped
-	// through accFilter; the barrier ORs the nested accessed bits in.
-	accessed  []uint64
+	// accFilter dedups the (vm, gpp) pairs the CPU marks on its lane this
+	// epoch; the barrier ORs the marked nested accessed bits in.
 	accFilter [1 << accFilterBits]uint64
 }
 
@@ -107,8 +132,8 @@ type parState struct {
 	start  []chan arch.Cycles
 	wg     sync.WaitGroup
 	errCPU []error
-	// heads is the k-way merge cursor scratch, one per CPU.
-	heads []int
+	// streams is the k-way merge's scratch: each CPU's unreplayed events.
+	streams [][]coherence.DeferredEvent
 }
 
 // parInit builds the engine state and spawns the persistent workers.
@@ -126,10 +151,10 @@ func (s *System) parInit() {
 		workers: s.opts.ParallelCPUs,
 		epoch:   epoch,
 		cpus:    make([]parCPU, s.cfg.NumCPUs),
-		log:     coherence.NewDeferredLog(s.cfg.NumCPUs),
+		log:     coherence.NewDeferredLog(s.cfg.NumCPUs, s.opts.ParallelCPUs),
 		start:   make([]chan arch.Cycles, s.opts.ParallelCPUs),
 		errCPU:  make([]error, s.cfg.NumCPUs),
-		heads:   make([]int, s.cfg.NumCPUs),
+		streams: make([][]coherence.DeferredEvent, s.cfg.NumCPUs),
 	}
 	// The device queueing model assumes request times arrive near-sorted
 	// (the serial min-clock schedule); barrier replay mixes per-epoch event
@@ -186,8 +211,10 @@ func (s *System) parWorker(w int) {
 	}
 }
 
-// runShard advances every pCPU of worker w's shard to the epoch end (or
-// until it parks on a fault or retires its last vCPU).
+// runShard advances every pCPU of worker w's shard — the CPUs of lane w
+// of the deferred log — to the epoch end (or until it parks on a fault or
+// retires its last vCPU). Each CPU's epoch is bracketed on the lane, so
+// its events form one contiguous segment there.
 //
 // Everything below is the parallel per-reference hot path: the gate
 // sim.TestSteadyStateZeroAllocsParallel asserts steady-state epochs
@@ -195,14 +222,20 @@ func (s *System) parWorker(w int) {
 //
 //hatric:hotpath
 func (s *System) runShard(w int, end arch.Cycles) {
-	for cpu := w; cpu < s.cfg.NumCPUs; cpu += s.par.workers {
+	log := s.par.log
+	for cpu := range s.par.cpus {
+		if log.Lane(cpu) != w {
+			continue
+		}
 		pc := &s.par.cpus[cpu]
+		log.Begin(cpu)
 		for !pc.parked && s.clock[cpu] < end && s.cpuRunnable(cpu) {
 			if err := s.step(cpu); err != nil {
 				s.par.errCPU[cpu] = err
 				break
 			}
 		}
+		log.End(cpu)
 	}
 }
 
@@ -251,16 +284,17 @@ func (s *System) parEpoch() error {
 		}
 	}
 
-	// Barrier, phase 1: accessed bits first — they are idempotent ORs
-	// and the replayed work below (evictions, scans) reads them.
-	for cpu := 0; cpu < s.cfg.NumCPUs; cpu++ {
-		pc := &p.cpus[cpu]
-		for _, packed := range pc.accessed {
+	// Barrier, phase 1: accessed bits first — they are idempotent ORs,
+	// so any order does, and the replayed work below (evictions, scans)
+	// reads them.
+	for lane := 0; lane < p.log.Lanes(); lane++ {
+		for _, packed := range p.log.Marks(lane) {
 			vm, gpp := unpackVMGPP(packed)
 			s.vms[vm].Nested.SetAccessed(gpp, true)
 		}
-		pc.accessed = pc.accessed[:0]
-		clear(pc.accFilter[:])
+	}
+	for cpu := range p.cpus {
+		clear(p.cpus[cpu].accFilter[:])
 	}
 
 	// Phase 2: replay the merged event log.
@@ -305,27 +339,22 @@ func (s *System) parEpoch() error {
 // relay is independent of the worker count.
 func (s *System) dispatchEvents() error {
 	p := s.par
-	n := s.cfg.NumCPUs
-	for i := 0; i < n; i++ {
-		p.heads[i] = 0
+	for cpu := range p.streams {
+		p.streams[cpu] = p.log.CPU(cpu)
 	}
 	for {
 		best := -1
 		var bestCycle arch.Cycles
-		for cpu := 0; cpu < n; cpu++ {
-			ev := p.log.CPU(cpu)
-			if p.heads[cpu] >= len(ev) {
-				continue
-			}
-			if c := ev[p.heads[cpu]].Cycle; best < 0 || c < bestCycle {
-				best, bestCycle = cpu, c
+		for cpu, ev := range p.streams {
+			if len(ev) > 0 && (best < 0 || ev[0].Cycle < bestCycle) {
+				best, bestCycle = cpu, ev[0].Cycle
 			}
 		}
 		if best < 0 {
 			return nil
 		}
-		ev := &p.log.CPU(best)[p.heads[best]]
-		p.heads[best]++
+		ev := p.streams[best][0]
+		p.streams[best] = p.streams[best][1:]
 		if err := s.applyEvent(best, ev); err != nil {
 			return err
 		}
@@ -336,18 +365,19 @@ func (s *System) dispatchEvents() error {
 // paths. Replay latency lands on the issuing CPU's clock; `now` is the
 // cycle the event was logged at, so directory and shootdown timing sees
 // the same instant the serial engine would have.
-func (s *System) applyEvent(cpu int, ev *coherence.DeferredEvent) error {
-	switch ev.Op {
+func (s *System) applyEvent(cpu int, ev coherence.DeferredEvent) error {
+	arg := ev.Payload()
+	switch op := ev.Op(); op {
 	case coherence.OpRead:
-		s.clock[cpu] += s.hier.Read(cpu, ev.SPA, ev.Kind, ev.Cycle)
+		s.clock[cpu] += s.hier.Read(cpu, arch.SPA(arg), ev.Kind(), ev.Cycle)
 	case coherence.OpWrite:
-		s.clock[cpu] += s.hier.Write(cpu, ev.SPA, ev.Kind, ev.Cycle)
+		s.clock[cpu] += s.hier.Write(cpu, arch.SPA(arg), ev.Kind(), ev.Cycle)
 	case coherence.OpTSFill:
-		s.hier.NoteTranslationFill(cpu, ev.SPA, ev.Kind)
+		s.hier.NoteTranslationFill(cpu, arch.SPA(arg), ev.Kind())
 	case coherence.OpTSEvict:
-		s.hier.NoteTranslationEviction(cpu, ev.SPA, ev.Kind)
+		s.hier.NoteTranslationEviction(cpu, arch.SPA(arg), ev.Kind())
 	case opFault:
-		vm, gpp := unpackVMGPP(ev.Arg)
+		vm, gpp := unpackVMGPP(arg)
 		lat, err := s.hyp.HandleFault(cpu, vm, gpp, s.clock[cpu])
 		if err != nil {
 			return err
@@ -357,11 +387,11 @@ func (s *System) applyEvent(cpu int, ev *coherence.DeferredEvent) error {
 	case opKSMBreak:
 		// A later same-page event this epoch may find the sharing
 		// already broken; KSMWriteBreak then reports no break, cost-free.
-		vm, gpp := unpackVMGPP(ev.Arg)
+		vm, gpp := unpackVMGPP(arg)
 		lat, _ := s.hyp.KSMWriteBreak(cpu, vm, gpp, ev.Cycle)
 		s.clock[cpu] += lat
 	case opDefrag, opKSMScan, opCompact, opMigWrite:
-		s.runHV(cpu, ev.Op, ev.Arg, ev.Cycle)
+		s.runHV(cpu, op, arg, ev.Cycle)
 	}
 	return nil
 }

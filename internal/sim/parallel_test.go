@@ -173,6 +173,80 @@ func TestParallelMatchesSerialTranslation(t *testing.T) {
 	}
 }
 
+// TestParallelLogFollowsWorkerPeak pins the deferred log's memory on a
+// parallel_2w-shaped machine (two paged data_caching VMs of 4 threads, 2
+// workers). The log keeps one lane per worker, so each lane's capacity
+// follows the busiest epoch of its own worker. One slice per CPU grew to
+// every CPU's own busiest epoch, and these fall in different epochs — a
+// CPU that parks on a fault early logs little, one that runs its whole
+// epoch logs much — so together the lanes must hold less than the
+// per-CPU peaks summed, which no per-CPU layout can.
+func TestParallelLogFollowsWorkerPeak(t *testing.T) {
+	spec, err := workload.ByName("data_caching")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec = spec.WithRefs(30_000)
+	vms := []VMSpec{
+		{Workloads: []AssignedWorkload{{Spec: spec, CPUs: []int{0, 1, 2, 3}}}},
+		{Workloads: []AssignedWorkload{{Spec: spec, CPUs: []int{4, 5, 6, 7}}}},
+	}
+	cfg := arch.DefaultConfig()
+	cfg.NumCPUs = 8
+	SizeConfigVMs(&cfg, vms, hv.ModePaged)
+	cfg.Mem.HBMFrames = 1536
+	sys, err := New(Options{
+		Config:       cfg,
+		Protocol:     "sw",
+		Paging:       hv.BestPolicy(),
+		Mode:         hv.ModePaged,
+		VMs:          vms,
+		Seed:         5,
+		ParallelCPUs: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.parInit()
+	defer sys.parStop()
+	log := sys.par.log
+	logged := make([]uint64, cfg.NumCPUs) // ParallelDeferred so far
+	cpuPeak := make([]uint64, cfg.NumCPUs)
+	lanePeak := make([]uint64, log.Lanes())
+	epochs := 0
+	for ; sys.active > 0; epochs++ {
+		if err := sys.parEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		perLane := make([]uint64, log.Lanes())
+		for cpu := range logged {
+			n := sys.cnt[cpu].ParallelDeferred - logged[cpu]
+			logged[cpu] += n
+			perLane[log.Lane(cpu)] += n
+			cpuPeak[cpu] = max(cpuPeak[cpu], n)
+		}
+		for lane, n := range perLane {
+			lanePeak[lane] = max(lanePeak[lane], n)
+		}
+	}
+	total, sumCPUPeaks := uint64(0), uint64(0)
+	for lane, peak := range lanePeak {
+		c := uint64(log.Capacity(lane))
+		total += c
+		if c > 2*peak {
+			t.Errorf("lane %d holds %d events of capacity, more than twice its busiest epoch (%d)", lane, c, peak)
+		}
+	}
+	for _, p := range cpuPeak {
+		sumCPUPeaks += p
+	}
+	t.Logf("%d epochs: lane peaks %v, capacity %d events, per-CPU peaks sum to %d",
+		epochs, lanePeak, total, sumCPUPeaks)
+	if total >= sumCPUPeaks {
+		t.Errorf("the lanes hold %d events of capacity, no less than the per-CPU peaks summed (%d)", total, sumCPUPeaks)
+	}
+}
+
 // TestQuickParallelDeterminism rides the CI determinism job (which runs
 // every TestQuick* twice with -count=2): the same parallel configuration
 // must fingerprint identically run over run, in-process and across

@@ -470,6 +470,10 @@ func New(opts Options) (*System, error) {
 	case opts.ParallelCPUs > cfg.NumCPUs:
 		return nil, fmt.Errorf("sim: ParallelCPUs %d exceeds the machine's %d physical CPUs; workers shard pCPUs, so extra workers would sit idle — use at most NumCPUs",
 			opts.ParallelCPUs, cfg.NumCPUs)
+	case opts.ParallelCPUs > 0:
+		if err := checkPayloads(cfg.Mem, len(vmSpecs)); err != nil {
+			return nil, err
+		}
 	}
 
 	s := &System{opts: opts, cfg: cfg, sched: ratio > 1}
@@ -1189,7 +1193,7 @@ func (s *System) step(cpu int) error {
 			if s.ksmOn && acc.Write {
 				if pc != nil {
 					if s.hyp.KSMShared(vm, gpp) {
-						s.par.log.Append(cpu, opKSMBreak, 0, packVMGPP(vm, gpp), cache.KindData, s.clock[cpu])
+						s.par.log.Append(cpu, opKSMBreak, packVMGPP(vm, gpp), cache.KindData, s.clock[cpu])
 					}
 				} else if blat, broke := s.hyp.KSMWriteBreak(cpu, vm, gpp, s.clock[cpu]); broke {
 					s.clock[cpu] += blat
@@ -1210,7 +1214,7 @@ func (s *System) step(cpu int) error {
 			pc.pendValid = true
 			pc.pendAcc = acc
 			pc.parked = true
-			s.par.log.Append(cpu, opFault, 0, packVMGPP(vm, fault.GPP), cache.KindData, s.clock[cpu])
+			s.par.log.Append(cpu, opFault, packVMGPP(vm, fault.GPP), cache.KindData, s.clock[cpu])
 			return nil
 		}
 		if attempt >= 4 {
@@ -1232,15 +1236,15 @@ func (s *System) step(cpu int) error {
 	// trace-driven setup gives its LRU policy precise access information;
 	// relying on walk-time-only updates would starve CLOCK of signal for
 	// exactly the protocols that avoid TLB flushes). The parallel engine
-	// logs it (deduped) instead of writing the shared page tables; the
-	// barrier ORs the bits in before any eviction policy can read them.
+	// marks it (deduped) on the CPU's lane instead of writing the shared
+	// page tables; the barrier ORs the bits in before any eviction policy
+	// can read them.
 	if pc != nil {
 		packed := packVMGPP(vm, gpp)
 		slot := (packed * 0x9E3779B97F4A7C15) >> (64 - accFilterBits)
 		if pc.accFilter[slot] != packed+1 {
 			pc.accFilter[slot] = packed + 1
-			//hatric:alloc-ok amortized capacity growth during warm-up epochs; steady state appends within capacity (parallel zero-alloc gate)
-			pc.accessed = append(pc.accessed, packed)
+			s.par.log.Mark(cpu, packed)
 		}
 	} else {
 		s.vms[vm].Nested.SetAccessed(gpp, true)
@@ -1303,7 +1307,7 @@ func (s *System) retire(cpu int, vc *vcpuState) {
 // on both engines.
 func (s *System) hvWork(cpu int, op coherence.DeferredOp, arg uint64) {
 	if s.par != nil {
-		s.par.log.Append(cpu, op, 0, arg, cache.KindData, s.clock[cpu])
+		s.par.log.Append(cpu, op, arg, cache.KindData, s.clock[cpu])
 		return
 	}
 	s.runHV(cpu, op, arg, s.clock[cpu])

@@ -204,6 +204,32 @@ func TestBadOptionsRejected(t *testing.T) {
 		Workloads: SingleWorkload(smokeSpec(), 1)}); err == nil {
 		t.Errorf("invalid config accepted")
 	}
+
+	// The parallel engine logs each VM id, guest page and system physical
+	// address in a 48-bit deferred-event payload: VM ids stop at 255, and
+	// the frame count at 2^36. New must refuse both before building
+	// anything, so the 2^36-frame machine never allocates its free list.
+	tiny := smokeSpec()
+	tiny.FootprintPages, tiny.Threads = 1, 1
+	manyVMs := make([]VMSpec, 257)
+	for v := range manyVMs {
+		manyVMs[v] = VMSpec{Workloads: []AssignedWorkload{{Spec: tiny, CPUs: []int{v}}}}
+	}
+	hugeCfg := cfg
+	hugeCfg.Mem.DRAMFrames = 1 << 36
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"257 VMs", Options{Config: cfg, Protocol: "hatric", VMs: manyVMs,
+			VCPUsPerCPU: (len(manyVMs) + cfg.NumCPUs - 1) / cfg.NumCPUs, ParallelCPUs: 2}},
+		{"2^36+ frames", Options{Config: hugeCfg, Protocol: "hatric",
+			Workloads: SingleWorkload(smokeSpec(), 1), ParallelCPUs: 1}},
+	} {
+		if _, err := New(c.opts); err == nil || !strings.Contains(err.Error(), "deferred-event payload") {
+			t.Errorf("%s: parallel run accepted or rejected for another reason: %v", c.name, err)
+		}
+	}
 }
 
 // TestUnknownProtocolRejected: a protocol name core does not know, the zero
