@@ -1,12 +1,15 @@
 // Command hatriclint statically enforces the simulator's determinism and
 // zero-allocation contracts: it loads the requested packages (test
 // variants included), type-checks them against compiler export data, and
-// runs the four analyzers in internal/lint — mapiter, nondet, hotalloc,
-// and counterflow — plus the annotation-syntax check.
+// runs the three analyzers in internal/lint — mapiter, nondet and
+// hotalloc — after the annotation-syntax check, annot.
 //
 // Usage:
 //
 //	go run ./cmd/hatriclint ./...
+//
+// -test=false skips test files. -analyzers prints the analyzer list and
+// exits 0 without linting anything.
 //
 // Exit status is 0 when the tree is clean, 1 when any diagnostic is
 // reported, and 2 when loading or type-checking fails. See the

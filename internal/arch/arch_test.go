@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -114,6 +115,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.TLB.SizeMultiplier = 0 },
 		func(c *Config) { c.TLB.CoTagBytes = 4 },
 		func(c *Config) { c.Mem.DRAMFrames = 0 },
+		func(c *Config) { c.Mem.HBMBytesPerCycle = math.NaN() },
 		func(c *Config) { c.L1.SizeBytes = 0 },
 	}
 	for i, mutate := range bad {

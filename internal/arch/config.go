@@ -100,11 +100,10 @@ type DirectoryConfig struct {
 type Config struct {
 	NumCPUs int
 
-	TLB      TLBConfig
-	L1       CacheConfig
-	L2       CacheConfig
-	LLC      CacheConfig
-	LLCBanks int
+	TLB TLBConfig
+	L1  CacheConfig
+	L2  CacheConfig
+	LLC CacheConfig
 
 	Dir DirectoryConfig
 	Mem MemConfig
@@ -154,15 +153,14 @@ func DefaultMemConfig() MemConfig {
 // matters.
 func DefaultConfig() Config {
 	return Config{
-		NumCPUs:  16,
-		TLB:      DefaultTLBConfig(),
-		L1:       CacheConfig{SizeBytes: 8 << 10, Ways: 4},
-		L2:       CacheConfig{SizeBytes: 32 << 10, Ways: 8},
-		LLC:      CacheConfig{SizeBytes: 512 << 10, Ways: 16},
-		LLCBanks: 8,
-		Dir:      DirectoryConfig{Entries: 1 << 18},
-		Mem:      DefaultMemConfig(),
-		Cost:     KVMCostModel(),
+		NumCPUs: 16,
+		TLB:     DefaultTLBConfig(),
+		L1:      CacheConfig{SizeBytes: 8 << 10, Ways: 4},
+		L2:      CacheConfig{SizeBytes: 32 << 10, Ways: 8},
+		LLC:     CacheConfig{SizeBytes: 512 << 10, Ways: 16},
+		Dir:     DirectoryConfig{Entries: 1 << 18},
+		Mem:     DefaultMemConfig(),
+		Cost:    KVMCostModel(),
 	}
 }
 
@@ -179,6 +177,8 @@ func (c Config) Validate() error {
 		return configError("TLB.CoTagBytes must be in [0,3]")
 	case c.Mem.HBMFrames < 0 || c.Mem.DRAMFrames <= 0:
 		return configError("memory frame counts invalid")
+	case !(c.Mem.HBMBytesPerCycle > 0) || !(c.Mem.DRAMBytesPerCycle > 0):
+		return configError("memory bandwidths must be positive")
 	case c.L1.SizeBytes <= 0 || c.L2.SizeBytes <= 0 || c.LLC.SizeBytes <= 0:
 		return configError("cache sizes must be positive")
 	}

@@ -58,9 +58,7 @@ type BalloonReport struct {
 	Completed         bool
 
 	// Returned counts frames a scheduled deflation handed back to the VM
-	// through the re-fault path (zero without BalloonSpec.DeflateAt; the
-	// fingerprint formatter appends it only when nonzero, keeping legacy
-	// fingerprints frozen).
+	// through the re-fault path (zero without BalloonSpec.DeflateAt).
 	Returned int
 }
 

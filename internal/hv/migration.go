@@ -115,10 +115,6 @@ type MigrationReport struct {
 	FinalDirty int
 	Completed  bool
 
-	// The fields below were added after the golden fingerprints were
-	// frozen; the fingerprint formatter appends them only when set, so
-	// fault-free runs hash exactly as before they existed.
-
 	// LinkRetries counts pump quanta that found the migration link down
 	// and backed off (fault injection; see internal/faults).
 	LinkRetries int

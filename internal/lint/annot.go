@@ -14,9 +14,6 @@ const (
 	// annotHotpath marks a function whose body (and same-package callees)
 	// must stay allocation-free; checked by hotalloc.
 	annotHotpath annotKind = "hotpath"
-	// annotCountersSink marks a function that must cover every
-	// stats.Counters field; checked by counterflow.
-	annotCountersSink annotKind = "counters-sink"
 	// The -ok kinds suppress findings on their own line and the line
 	// directly below; all require a reason.
 	annotMapiterOK annotKind = "mapiter-ok"
@@ -42,7 +39,7 @@ type Annotations struct {
 	// ok[kind][filename][line] = reason for suppression annotations.
 	ok map[annotKind]map[string]map[int]string
 	// marked[kind] holds the function declarations carrying a marker
-	// annotation (hotpath, counters-sink).
+	// annotation (hotpath).
 	marked map[annotKind]map[*ast.FuncDecl]bool
 	// NonCritical is set by the fixture-only pragma.
 	NonCritical bool
@@ -53,7 +50,7 @@ type Annotations struct {
 // okKinds require a reason; markerKinds attach to a following FuncDecl.
 var (
 	okKinds     = map[annotKind]bool{annotMapiterOK: true, annotNondetOK: true, annotAllocOK: true}
-	markerKinds = map[annotKind]bool{annotHotpath: true, annotCountersSink: true}
+	markerKinds = map[annotKind]bool{annotHotpath: true}
 )
 
 // parseAnnotations scans every comment in the package's files.

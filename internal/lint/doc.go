@@ -35,22 +35,12 @@
 //     Cold error paths inside hot functions carry
 //     `//hatric:alloc-ok <reason>`.
 //
-// A fourth analyzer, counterflow, guards the counter plumbing the
-// fingerprints are built from: every field of stats.Counters must be
-// uint64, must be aggregated by (*Counters).Add and subtracted by
-// (*Counters).Sub (reflective bodies count as full coverage), and every
-// function annotated `//hatric:counters-sink` — the fingerprint and table
-// formatters — must either reference every field or walk the struct
-// reflectively, so a new counter can never silently vanish from
-// aggregation or output.
-//
 // # Annotations
 //
 // All annotations are `//hatric:` directive comments (no space after the
 // slashes, so gofmt and godoc treat them as directives):
 //
 //	//hatric:hotpath              marks a function as allocation-free
-//	//hatric:counters-sink        marks a full-coverage counter formatter
 //	//hatric:mapiter-ok <reason>  suppresses mapiter / sync.Map findings
 //	//hatric:nondet-ok <reason>   suppresses nondet findings
 //	//hatric:alloc-ok <reason>    suppresses hotalloc findings
@@ -66,5 +56,6 @@
 //
 // The binary loads packages (test variants included) via `go list
 // -export`, type-checks them against the compiler's export data, runs the
-// four analyzers, and exits nonzero if any diagnostic remains.
+// annotation check and the three analyzers, and exits nonzero if any
+// diagnostic remains.
 package lint

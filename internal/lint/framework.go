@@ -39,8 +39,8 @@ type Package struct {
 	Info  *types.Info
 
 	// Critical marks determinism-critical packages: mapiter and nondet
-	// only apply there. hotalloc and counterflow are annotation-driven
-	// and run everywhere.
+	// only apply there. hotalloc is annotation-driven and runs
+	// everywhere.
 	Critical bool
 
 	Annots *Annotations
@@ -84,7 +84,7 @@ func isTestFile(name string) bool {
 // All returns the analyzer suite in reporting order. Annot runs first so
 // malformed suppressions surface before the checks they would disable.
 func All() []*Analyzer {
-	return []*Analyzer{Annot, MapIter, NonDet, HotAlloc, CounterFlow}
+	return []*Analyzer{Annot, MapIter, NonDet, HotAlloc}
 }
 
 // RunAnalyzers applies every analyzer to every package and returns the

@@ -6,7 +6,6 @@ import (
 	"os"
 	"reflect"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -16,112 +15,42 @@ import (
 )
 
 // The golden-counter tests freeze the simulator's observable outputs at
-// fixed seeds. The fingerprints below were recorded from the map-and-scan
-// implementation (before the allocation-free flattening of the directory,
-// caches, translation structures, scheduler, and page-table caches) and
-// must never drift: a changed fingerprint means the refactored hot path is
-// no longer bit-identical to the modeled machine it replaced.
+// fixed seeds. The values they hash were first recorded from the
+// map-and-scan implementation (before the allocation-free flattening of
+// the directory, caches, translation structures, scheduler, and page-table
+// caches) and must never drift: a changed fingerprint means the refactored
+// hot path is no longer bit-identical to the modeled machine it replaced.
+//
+// Both sets (goldenWant here, goldenParallelWant in parallel_test.go) were
+// regenerated once, for a format change alone, when fpFields replaced %+v
+// and its per-struct compatibility formatters. Just before the switch both
+// sets still passed under the old formatter, and the switch touched only
+// this package's test files, so the new hashes encode the values the old
+// ones did.
 //
 // Regenerate with GOLDEN_UPDATE=1 go test -run TestGoldenCounters -v ./internal/sim
 // only when an intentional modeling change lands, and say so in the commit.
 
-// fpSkipZero lists counter fields added after the original fingerprints
-// were recorded. fpCounters omits them while they are zero so every
-// scenario that cannot produce them hashes exactly as it did before the
-// fields existed; scenarios that do produce them (the storm scenarios
-// below) print them at the end, where the struct keeps them.
-var fpSkipZero = map[string]bool{
-	"KSMMerges":            true,
-	"KSMBreaks":            true,
-	"BalloonReclaims":      true,
-	"CompactionMoves":      true,
-	"ParallelEpochs":       true,
-	"ParallelDeferred":     true,
-	"IPIsLost":             true,
-	"ShootdownRetries":     true,
-	"AcksLost":             true,
-	"RelayReissues":        true,
-	"MigrationLinkRetries": true,
-	"BalloonReturns":       true,
-}
-
-// fpCounters formats a stats.Counters byte-identically to fmt's %+v for
-// every legacy field, skipping the fpSkipZero fields at zero. New counters
-// must be appended at the end of the Counters struct so the legacy fields
-// stay a stable prefix (TestFingerprintFormatterCompat pins this).
-//
-// counterflow checks this sink covers every Counters field; the reflective
-// sweep does so by construction, which is exactly why the goldens catch a
-// counter that Add or the fingerprint would otherwise silently drop.
-//
-//hatric:counters-sink
-func fpCounters(c *stats.Counters) string {
-	v := reflect.ValueOf(c).Elem()
-	t := v.Type()
+// fpFields formats a struct as {Name:value ...} over its nonzero fields in
+// declaration order, each value as %+v prints it. A field that is zero
+// hashes nothing, so a field added to a struct changes no fingerprint of a
+// scenario that leaves it zero.
+func fpFields(v any) string {
+	rv := reflect.ValueOf(v)
 	var b strings.Builder
 	b.WriteByte('{')
-	first := true
-	for i := 0; i < v.NumField(); i++ {
-		val := v.Field(i).Uint()
-		name := t.Field(i).Name
-		if val == 0 && fpSkipZero[name] {
+	for i := 0; i < rv.NumField(); i++ {
+		f := rv.Field(i)
+		if f.IsZero() {
 			continue
 		}
-		if !first {
+		if b.Len() > 1 {
 			b.WriteByte(' ')
 		}
-		first = false
-		b.WriteString(name)
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(val, 10))
+		fmt.Fprintf(&b, "%s:%+v", rv.Type().Field(i).Name, f)
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// fpMigration formats a MigrationReport exactly as %+v did when the golden
-// fingerprints were frozen — the post-freeze fault-recovery fields
-// (LinkRetries, OutageCycles, EarlyStopCopy, LastError) are appended only
-// when one of them is set, so fault-free runs hash byte-identically.
-func fpMigration(m *hv.MigrationReport) string {
-	legacy := struct {
-		VM                int
-		Dest              arch.MemTier
-		Remote            bool
-		Started, Finished arch.Cycles
-		Rounds            []hv.RoundStats
-		PagesCopied       int
-		Redirtied         int
-		Downtime          arch.Cycles
-		FinalDirty        int
-		Completed         bool
-	}{m.VM, m.Dest, m.Remote, m.Started, m.Finished, m.Rounds,
-		m.PagesCopied, m.Redirtied, m.Downtime, m.FinalDirty, m.Completed}
-	s := fmt.Sprintf("%+v", legacy)
-	if m.LinkRetries != 0 || m.OutageCycles != 0 || m.EarlyStopCopy || m.LastError != "" {
-		s = strings.TrimSuffix(s, "}") + fmt.Sprintf(
-			" LinkRetries:%d OutageCycles:%d EarlyStopCopy:%v LastError:%s}",
-			m.LinkRetries, m.OutageCycles, m.EarlyStopCopy, m.LastError)
-	}
-	return s
-}
-
-// fpBalloon is fpMigration's counterpart for BalloonReport: the post-freeze
-// Returned field is appended only when a deflation actually ran.
-func fpBalloon(b *hv.BalloonReport) string {
-	legacy := struct {
-		VM                int
-		Target            int
-		Reclaimed         int
-		Shortfall         int
-		Started, Finished arch.Cycles
-		Completed         bool
-	}{b.VM, b.Target, b.Reclaimed, b.Shortfall, b.Started, b.Finished, b.Completed}
-	s := fmt.Sprintf("%+v", legacy)
-	if b.Returned != 0 {
-		s = strings.TrimSuffix(s, "}") + fmt.Sprintf(" Returned:%d}", b.Returned)
-	}
-	return s
 }
 
 // goldenFingerprint folds everything observable about a Result into one
@@ -134,77 +63,43 @@ func goldenFingerprint(res *Result) uint64 {
 		fmt.Fprintf(h, format, args...)
 	}
 	put("runtime=%d\n", uint64(res.Runtime))
-	put("agg=%s\n", fpCounters(&res.Agg))
+	put("agg=%s\n", fpFields(res.Agg))
 	for i := range res.PerCPU {
-		put("cpu%d=%s done=%d\n", i, fpCounters(&res.PerCPU[i]), uint64(res.Completion[i]))
+		put("cpu%d=%s done=%d\n", i, fpFields(res.PerCPU[i]), uint64(res.Completion[i]))
 	}
 	for v := range res.PerVM {
-		put("vm%d=%s done=%d\n", v, fpCounters(&res.PerVM[v]), uint64(res.VMCompletion[v]))
+		put("vm%d=%s done=%d\n", v, fpFields(res.PerVM[v]), uint64(res.VMCompletion[v]))
 	}
 	put("bytes=%d,%d\n", res.HBMBytes, res.DRAMBytes)
 	for _, m := range res.Migrations {
-		put("mig=%s\n", fpMigration(&m))
+		put("mig=%s\n", fpFields(m))
 	}
 	for _, q := range res.QoS {
-		put("qos=%+v\n", q)
+		put("qos=%s\n", fpFields(q))
 	}
 	for _, b := range res.Balloons {
-		put("balloon=%s\n", fpBalloon(&b))
+		put("balloon=%s\n", fpFields(b))
 	}
 	if res.KSM != nil {
-		put("ksm=%+v\n", *res.KSM)
+		put("ksm=%s\n", fpFields(*res.KSM))
 	}
 	return h.Sum64()
 }
 
-// TestFingerprintFormatterCompat pins fpCounters to fmt's %+v for any
-// Counters whose post-freeze fields are zero: the 32 original fingerprints
-// were recorded via %+v, so the formatter must reproduce it byte for byte
-// there — and diverge only by appending the new fields when nonzero.
-func TestFingerprintFormatterCompat(t *testing.T) {
-	legacy := stats.Counters{Instructions: 3, MemRefs: 2, StaleTranslationUses: 9}
-	// The legacy format is today's %+v with the all-zero storm-counter tail
-	// removed — exactly what %+v printed when the fingerprints were frozen.
-	tail := " KSMMerges:0 KSMBreaks:0 BalloonReclaims:0 CompactionMoves:0" +
-		" ParallelEpochs:0 ParallelDeferred:0" +
-		" IPIsLost:0 ShootdownRetries:0 AcksLost:0 RelayReissues:0" +
-		" MigrationLinkRetries:0 BalloonReturns:0}"
-	want := fmt.Sprintf("%+v", legacy)
-	if !strings.HasSuffix(want, tail) {
-		t.Fatalf("storm counters no longer the final fields of stats.Counters: %s", want)
+// TestFingerprintCoversEveryField: every Counters field reaches the
+// fingerprint under its own name, and a zero field adds nothing.
+func TestFingerprintCoversEveryField(t *testing.T) {
+	if got := fpFields(stats.Counters{}); got != "{}" {
+		t.Errorf("zero Counters formats to %s, want {}", got)
 	}
-	want = strings.TrimSuffix(want, tail) + "}"
-	if got := fpCounters(&legacy); got != want {
-		t.Errorf("formatter diverged from the frozen legacy format:\n got %s\nwant %s", got, want)
-	}
-	storm := legacy
-	storm.KSMMerges = 5
-	storm.CompactionMoves = 7
-	s := fpCounters(&storm)
-	if !strings.Contains(s, "KSMMerges:5") || !strings.Contains(s, "CompactionMoves:7") {
-		t.Errorf("nonzero storm counters missing from fingerprint: %s", s)
-	}
-	if strings.Contains(s, "KSMBreaks") || strings.Contains(s, "BalloonReclaims") {
-		t.Errorf("zero storm counters must be omitted: %s", s)
-	}
-	// Every fpSkipZero name must still exist in the struct (renames would
-	// silently stop skipping) and sit after every legacy field.
 	typ := reflect.TypeOf(stats.Counters{})
-	firstNew := -1
-	seen := 0
 	for i := 0; i < typ.NumField(); i++ {
-		if fpSkipZero[typ.Field(i).Name] {
-			seen++
-			if firstNew < 0 {
-				firstNew = i
-			}
-		} else if firstNew >= 0 {
-			t.Errorf("legacy field %s appears after new counter fields; append new fields at the end",
-				typ.Field(i).Name)
+		var c stats.Counters
+		reflect.ValueOf(&c).Elem().Field(i).SetUint(uint64(i + 1))
+		want := fmt.Sprintf("{%s:%d}", typ.Field(i).Name, i+1)
+		if got := fpFields(c); got != want {
+			t.Errorf("field %d formats to %s, want %s", i, got, want)
 		}
-	}
-	if seen != len(fpSkipZero) {
-		t.Errorf("fpSkipZero names drifted from stats.Counters: matched %d of %d", seen, len(fpSkipZero))
 	}
 }
 
@@ -280,7 +175,7 @@ func goldenScenarios() map[string]func(protocol string) Options {
 		// any power-of-two slab size (the final refill is a partial batch),
 		// and a live migration firing mid-run under the vCPU scheduler (remap
 		// bursts and dirty tracking interleave with partially consumed
-		// slabs). Their fingerprints were recorded from the per-reference
+		// slabs). Their values were first recorded from the per-reference
 		// Stream.Next pipeline before batching existed.
 		"quantum1": func(protocol string) Options {
 			cfg := smokeConfig()
@@ -376,53 +271,52 @@ func goldenScenarios() map[string]func(protocol string) Options {
 	}
 }
 
-// goldenWant maps scenario/protocol to the fingerprint recorded before the
-// allocation-free refactor.
+// goldenWant maps scenario/protocol to its serial-engine fingerprint.
 var goldenWant = map[string]uint64{
-	"multivm/sw":        0x89cb8600184e8c6f,
-	"multivm/hatric":    0x11a0657b2800a32e,
-	"multivm/unitd":     0x4079332c72ad1eee,
-	"multivm/ideal":     0xd4bef9ffcfdbf83b,
-	"migration/sw":      0x4737233e9c98d2f1,
-	"migration/hatric":  0x042f36f838e48786,
-	"migration/unitd":   0x2fe1d28415f98a7e,
-	"migration/ideal":   0x72eda3b77dcc8df9,
-	"overcommit/sw":     0x2b49c562c492c93b,
-	"overcommit/hatric": 0x7dfb54b1f42ec345,
-	"overcommit/unitd":  0xc1653ad0ceccf79a,
-	"overcommit/ideal":  0x29d4d0c4a36942b2,
-	"pinned/sw":         0xc5d5cbbf021e515b,
-	"pinned/hatric":     0x1d379e52cde4ac49,
-	"pinned/unitd":      0x0254284d219bbf3c,
-	"pinned/ideal":      0x3be2920351fd69b9,
-	"qos/sw":            0x2e1ba79846a68e67,
-	"qos/hatric":        0xe5fabb05a048de86,
-	"qos/unitd":         0x44fb26d808fb295a,
-	"qos/ideal":         0x723d45b68875d590,
-	"quantum1/sw":       0x436b494f385fb303,
-	"quantum1/hatric":   0x6bdb0e30f0daa102,
-	"quantum1/unitd":    0xb0a58290dc10ece4,
-	"quantum1/ideal":    0x4ba0428fe3c1ac70,
-	"oddrefs/sw":        0x62e09199978aa4c8,
-	"oddrefs/hatric":    0xe3c871b3a5a281b8,
-	"oddrefs/unitd":     0x0ef70937f39edbbc,
-	"oddrefs/ideal":     0x30f0a42b01afbf56,
-	"dedup/sw":          0x06f0273fdc7d8d35,
-	"dedup/hatric":      0xf5651c8bcc55fe64,
-	"dedup/unitd":       0x3db93c742290a449,
-	"dedup/ideal":       0x2ab1ddb10b9d9b72,
-	"balloon/sw":        0xbe102a366643017f,
-	"balloon/hatric":    0x0e88b160debb6b54,
-	"balloon/unitd":     0xea175f91ac1e4d21,
-	"balloon/ideal":     0x710bbc229d6cb263,
-	"compact/sw":        0x7d4602a14e62b36f,
-	"compact/hatric":    0x3e9583727db96488,
-	"compact/unitd":     0x38a84184399b5a8a,
-	"compact/ideal":     0x639aa0caab437919,
-	"migsched/sw":       0x59edd6cd3ce91c9c,
-	"migsched/hatric":   0x45e11b36262b62de,
-	"migsched/unitd":    0x1cf62397c6f706e4,
-	"migsched/ideal":    0x1e6268fa8081f7cf,
+	"balloon/sw":        0x1f2287f1a8a8296a,
+	"balloon/hatric":    0x8c009ac4abf18864,
+	"balloon/unitd":     0x8fad8cd2b84be6b5,
+	"balloon/ideal":     0xf566bbf33317338e,
+	"compact/sw":        0xaee06067f8ec6982,
+	"compact/hatric":    0xa9d004d46325bdea,
+	"compact/unitd":     0x93bf8464cb8ccb43,
+	"compact/ideal":     0xd80bffbd13b53e32,
+	"dedup/sw":          0xa2a61b74263a4a4a,
+	"dedup/hatric":      0x6224f6d14e0d27e4,
+	"dedup/unitd":       0xea51d77599a7b36f,
+	"dedup/ideal":       0xc60b88642432df4f,
+	"migration/sw":      0x5508fd27e5715b58,
+	"migration/hatric":  0x8f7a9f4bf6603742,
+	"migration/unitd":   0x47a35c6434b7baab,
+	"migration/ideal":   0xbfdbab6ac9eccd34,
+	"migsched/sw":       0xe68814f7565d69ae,
+	"migsched/hatric":   0x5140cfe76688d594,
+	"migsched/unitd":    0x6f501e64f57a4600,
+	"migsched/ideal":    0xf85584dd6697b74a,
+	"multivm/sw":        0xf00be0a542a0e9fc,
+	"multivm/hatric":    0xb39bd359996cf218,
+	"multivm/unitd":     0x991266eef96bc1ac,
+	"multivm/ideal":     0xef4f2485325a861e,
+	"oddrefs/sw":        0x34c7e04b93eb3cff,
+	"oddrefs/hatric":    0xedc0d50ef72c8b6a,
+	"oddrefs/unitd":     0x493e7c6d628f64fc,
+	"oddrefs/ideal":     0x42535522c4d8d021,
+	"overcommit/sw":     0x7b097b50443247a1,
+	"overcommit/hatric": 0x300723d23638daf9,
+	"overcommit/unitd":  0x478c4fae8c562f40,
+	"overcommit/ideal":  0xc4c55e5b42dc95d3,
+	"pinned/sw":         0xf70305248f366c96,
+	"pinned/hatric":     0x359dc6b5bfbcfa84,
+	"pinned/unitd":      0x6fb679495b30b729,
+	"pinned/ideal":      0x92ae6d974fd026c4,
+	"qos/sw":            0x2de08f9fec6dcaec,
+	"qos/hatric":        0xbc816b226a6c71c0,
+	"qos/unitd":         0xb6da1243b3916674,
+	"qos/ideal":         0x15fcf7cf7933fc8f,
+	"quantum1/sw":       0xd234ad5a8fe9bf98,
+	"quantum1/hatric":   0x82eea8dd43219834,
+	"quantum1/unitd":    0x27c0a5ad958e0832,
+	"quantum1/ideal":    0x6ae7ac5341379193,
 }
 
 func TestGoldenCounters(t *testing.T) {

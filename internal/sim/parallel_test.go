@@ -316,50 +316,50 @@ func containsStr(s, sub string) bool {
 // are frozen here; TestParallelWorkerIndependence is what ties every
 // other worker count to these values.
 var goldenParallelWant = map[string]uint64{
-	"balloon/sw":        0xf2cbbb71eb343267,
-	"balloon/hatric":    0x0371304f28809d77,
-	"balloon/unitd":     0x231dc958bc47391d,
-	"balloon/ideal":     0x884bf1d5d851bb01,
-	"compact/sw":        0x064c294b32b01922,
-	"compact/hatric":    0xe4062cc2c2724212,
-	"compact/unitd":     0xc73f5661b94ae0ec,
-	"compact/ideal":     0x8670898d53307248,
-	"dedup/sw":          0x759059b70c81612e,
-	"dedup/hatric":      0xbff4a55dfd411995,
-	"dedup/unitd":       0x280321ebf2af2e71,
-	"dedup/ideal":       0x1e33b407ef75e952,
-	"migration/sw":      0x773a6e3b5faead90,
-	"migration/hatric":  0x1a00ba55fd80120d,
-	"migration/unitd":   0x303bea9b4df6073f,
-	"migration/ideal":   0x42f6f094874b58a0,
-	"migsched/sw":       0xba4756b2d0982647,
-	"migsched/hatric":   0x944ed2aa4585f876,
-	"migsched/unitd":    0xd7c8dee941884fef,
-	"migsched/ideal":    0x2d8b15d73f6a52a3,
-	"multivm/sw":        0xb855440f0376ac72,
-	"multivm/hatric":    0x5573ba5abb6b1d4c,
-	"multivm/unitd":     0x3d927e5b34a92fb0,
-	"multivm/ideal":     0xace6cfcaf19130ab,
-	"oddrefs/sw":        0x70e083cfcc80d73a,
-	"oddrefs/hatric":    0x6261b328e71191e2,
-	"oddrefs/unitd":     0x72fab1fa91800e24,
-	"oddrefs/ideal":     0xe6941f234612d102,
-	"overcommit/sw":     0xcb00ceb6943b4b0d,
-	"overcommit/hatric": 0xe87335b819aa917d,
-	"overcommit/unitd":  0x67f26ad2c4f8201f,
-	"overcommit/ideal":  0x7671a1e9be17a491,
-	"pinned/sw":         0xdae7d77970828fe6,
-	"pinned/hatric":     0x5d8783430751ab3d,
-	"pinned/unitd":      0x588a9dd87e342962,
-	"pinned/ideal":      0x2d12b55ba85c9f5a,
-	"qos/sw":            0x47c95a29cb71ef7f,
-	"qos/hatric":        0x98656ea0d54886aa,
-	"qos/unitd":         0x5f1415e42e3ac099,
-	"qos/ideal":         0x7e6c7edb817c854f,
-	"quantum1/sw":       0xc4154d1496d3a63c,
-	"quantum1/hatric":   0x4ae5a1840f7f327b,
-	"quantum1/unitd":    0x92137f2dde227341,
-	"quantum1/ideal":    0xb4dd768492d6af74,
+	"balloon/sw":        0xb9652197753dde70,
+	"balloon/hatric":    0x3c50034c786acc75,
+	"balloon/unitd":     0x6a57621e67b4c977,
+	"balloon/ideal":     0x35a07f736371f260,
+	"compact/sw":        0xcf5fa1519126c84f,
+	"compact/hatric":    0xcf0c0beae92b9b55,
+	"compact/unitd":     0x1128159789c591f5,
+	"compact/ideal":     0x59afb9a29941fa47,
+	"dedup/sw":          0x467dbc9139818ed1,
+	"dedup/hatric":      0x3ae54cf416218fe1,
+	"dedup/unitd":       0x41851d6d0fe29e65,
+	"dedup/ideal":       0x31e5c400b8e45bd5,
+	"migration/sw":      0xbecdb84926621c97,
+	"migration/hatric":  0x67ed91c18db6278a,
+	"migration/unitd":   0xdf0f5658dbabc25b,
+	"migration/ideal":   0x8491ffc24c272b3a,
+	"migsched/sw":       0x2b20390f289acc73,
+	"migsched/hatric":   0xa691fa697ac89372,
+	"migsched/unitd":    0x882f124959c6cbe9,
+	"migsched/ideal":    0xe1055d646705606c,
+	"multivm/sw":        0x84a1189f16255c4b,
+	"multivm/hatric":    0xbb9c3003f62244c6,
+	"multivm/unitd":     0xd15c2bc509f074a4,
+	"multivm/ideal":     0x2305c04183fa2eb6,
+	"oddrefs/sw":        0x3fbb1da61a286cf9,
+	"oddrefs/hatric":    0x4bbb084a672e9adc,
+	"oddrefs/unitd":     0xe8304748d6139f96,
+	"oddrefs/ideal":     0x8349989187b6fecb,
+	"overcommit/sw":     0x55f5311816765ccb,
+	"overcommit/hatric": 0xcfcfcbc748ec7b13,
+	"overcommit/unitd":  0xc49582ab967dcfb3,
+	"overcommit/ideal":  0xd83ea62409c5c9b4,
+	"pinned/sw":         0xf5ada30ff98be465,
+	"pinned/hatric":     0xa8028f3b96fee67c,
+	"pinned/unitd":      0x9cd83e6dc4b0aab5,
+	"pinned/ideal":      0x80ec456c43c6ded9,
+	"qos/sw":            0x9ad230b00bde3b60,
+	"qos/hatric":        0x7af5aaf9213154e8,
+	"qos/unitd":         0x6fe06e1d19b3d441,
+	"qos/ideal":         0x2bb68014226bf2ea,
+	"quantum1/sw":       0x575e9c39b44fa823,
+	"quantum1/hatric":   0xfeb7a207662c7657,
+	"quantum1/unitd":    0x9d9346f5ad1137cb,
+	"quantum1/ideal":    0xe70cac709a01ca73,
 }
 
 func TestGoldenCountersParallel(t *testing.T) {

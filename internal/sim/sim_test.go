@@ -198,11 +198,15 @@ func TestBadOptionsRejected(t *testing.T) {
 			t.Errorf("case %d: invalid options accepted", i)
 		}
 	}
-	badCfg := cfg
-	badCfg.NumCPUs = 0
-	if _, err := New(Options{Config: badCfg, Protocol: "hatric",
-		Workloads: SingleWorkload(smokeSpec(), 1)}); err == nil {
-		t.Errorf("invalid config accepted")
+	noCPUs, noHBMBandwidth, negDRAMBandwidth := cfg, cfg, cfg
+	noCPUs.NumCPUs = 0
+	noHBMBandwidth.Mem.HBMBytesPerCycle = 0
+	negDRAMBandwidth.Mem.DRAMBytesPerCycle = -1
+	for i, badCfg := range []arch.Config{noCPUs, noHBMBandwidth, negDRAMBandwidth} {
+		if _, err := New(Options{Config: badCfg, Protocol: "hatric",
+			Workloads: SingleWorkload(smokeSpec(), 1)}); err == nil {
+			t.Errorf("config %d: invalid config accepted", i)
+		}
 	}
 
 	// The parallel engine logs each VM id, guest page and system physical

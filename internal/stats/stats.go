@@ -3,11 +3,12 @@
 // hot-path increments stay allocation-free.
 package stats
 
-import "reflect"
+import "unsafe"
 
 // Counters aggregates every event class the simulator and the energy model
 // care about. One Counters value exists per CPU plus one system-wide
-// aggregate obtained with Add.
+// aggregate obtained with Add. Every field must be a uint64: Add and Sub
+// sweep the struct as an array of words.
 type Counters struct {
 	// Front end.
 	Instructions uint64
@@ -135,16 +136,14 @@ type Counters struct {
 	// each, charged to the writing CPU). BalloonReclaims counts frames a
 	// balloon inflation reclaimed through the quota-aware eviction path
 	// (driver vCPU). CompactionMoves counts live die-stacked pages the
-	// compaction daemon relocated (triggering CPU). New fields stay at the
-	// end of the struct: the golden-fingerprint formatter relies on the
-	// legacy field order staying a stable prefix.
+	// compaction daemon relocated (triggering CPU).
 	KSMMerges       uint64
 	KSMBreaks       uint64
 	BalloonReclaims uint64
 	CompactionMoves uint64
 
 	// Parallel-mode execution (sim.Options.ParallelCPUs > 0; both stay
-	// zero on the serial path, keeping serial fingerprints frozen).
+	// zero on the serial path).
 	// ParallelEpochs counts epoch barriers (machine-wide, recorded on CPU
 	// 0); ParallelDeferred counts the cross-shard events each CPU logged
 	// for barrier replay — the mode's serialization traffic, the number to
@@ -152,16 +151,16 @@ type Counters struct {
 	ParallelEpochs   uint64
 	ParallelDeferred uint64
 
-	// Fault injection and recovery (internal/faults; all six stay zero —
-	// and the fingerprints frozen — unless sim.Options.Faults enables a
-	// fault site). IPIsLost counts shootdown IPIs lost in delivery and
-	// ShootdownRetries the timeout-triggered re-sends (both on the
-	// initiator). AcksLost counts invalidation-relay acknowledgments lost
-	// and RelayReissues the directory's reissues after AckTimeoutCycles
-	// (both on the target CPU). MigrationLinkRetries counts migration pump
-	// quanta that found the link down and backed off (driver vCPU).
-	// BalloonReturns counts frames a balloon deflation handed back to the
-	// VM through the re-fault path (driver vCPU).
+	// Fault injection and recovery (internal/faults; all six stay zero
+	// unless sim.Options.Faults enables a fault site). IPIsLost counts
+	// shootdown IPIs lost in delivery and ShootdownRetries the
+	// timeout-triggered re-sends (both on the initiator). AcksLost counts
+	// invalidation-relay acknowledgments lost and RelayReissues the
+	// directory's reissues after AckTimeoutCycles (both on the target
+	// CPU). MigrationLinkRetries counts migration pump quanta that found
+	// the link down and backed off (driver vCPU). BalloonReturns counts
+	// frames a balloon deflation handed back to the VM through the
+	// re-fault path (driver vCPU).
 	IPIsLost             uint64
 	ShootdownRetries     uint64
 	AcksLost             uint64
@@ -170,98 +169,30 @@ type Counters struct {
 	BalloonReturns       uint64
 }
 
-// Add accumulates o into c.
-func (c *Counters) Add(o *Counters) {
-	c.Instructions += o.Instructions
-	c.MemRefs += o.MemRefs
-	c.L1TLBHits += o.L1TLBHits
-	c.L1TLBMisses += o.L1TLBMisses
-	c.L2TLBHits += o.L2TLBHits
-	c.L2TLBMisses += o.L2TLBMisses
-	c.NTLBHits += o.NTLBHits
-	c.NTLBMisses += o.NTLBMisses
-	c.MMUCacheHits += o.MMUCacheHits
-	c.MMUCacheMisses += o.MMUCacheMisses
-	c.Walks += o.Walks
-	c.WalkRefs += o.WalkRefs
-	c.L1Hits += o.L1Hits
-	c.L1Misses += o.L1Misses
-	c.L2Hits += o.L2Hits
-	c.L2Misses += o.L2Misses
-	c.LLCHits += o.LLCHits
-	c.LLCMisses += o.LLCMisses
-	c.HBMAccesses += o.HBMAccesses
-	c.DRAMAccesses += o.DRAMAccesses
-	c.HBMBytes += o.HBMBytes
-	c.DRAMBytes += o.DRAMBytes
-	c.DirLookups += o.DirLookups
-	c.InvalidationsSent += o.InvalidationsSent
-	c.SpuriousInvalidations += o.SpuriousInvalidations
-	c.DirBackInvalidations += o.DirBackInvalidations
-	c.DirDemotions += o.DirDemotions
-	c.CoTagCompares += o.CoTagCompares
-	c.CoTagInvalidations += o.CoTagInvalidations
-	c.CAMCompares += o.CAMCompares
-	c.CAMInvalidations += o.CAMInvalidations
-	c.TLBFlushes += o.TLBFlushes
-	c.MMUCacheFlushes += o.MMUCacheFlushes
-	c.NTLBFlushes += o.NTLBFlushes
-	c.TLBEntriesLost += o.TLBEntriesLost
-	c.MMUEntriesLost += o.MMUEntriesLost
-	c.NTLBEntriesLost += o.NTLBEntriesLost
-	c.SelectiveInvalidations += o.SelectiveInvalidations
-	c.PrefetchUpdates += o.PrefetchUpdates
-	c.CrossVMFiltered += o.CrossVMFiltered
-	c.VMExits += o.VMExits
-	c.IPIs += o.IPIs
-	c.Interrupts += o.Interrupts
-	c.VCPUSwitches += o.VCPUSwitches
-	c.SwitchFlushes += o.SwitchFlushes
-	c.DescheduledStallCycles += o.DescheduledStallCycles
-	c.RemapsInitiated += o.RemapsInitiated
-	c.ShootdownCycles += o.ShootdownCycles
-	c.PageFaults += o.PageFaults
-	c.PageMigrations += o.PageMigrations
-	c.PageEvictions += o.PageEvictions
-	c.PagePrefetches += o.PagePrefetches
-	c.DefragRemaps += o.DefragRemaps
-	c.PTEWrites += o.PTEWrites
-	c.CrossVMEvictions += o.CrossVMEvictions
-	c.FrozenVMSteals += o.FrozenVMSteals
-	c.MigrationRounds += o.MigrationRounds
-	c.MigrationPagesCopied += o.MigrationPagesCopied
-	c.MigrationRedirtied += o.MigrationRedirtied
-	c.MigrationDowntimeCycles += o.MigrationDowntimeCycles
-	c.MigrationsCompleted += o.MigrationsCompleted
-	c.StaleTranslationUses += o.StaleTranslationUses
-	c.KSMMerges += o.KSMMerges
-	c.KSMBreaks += o.KSMBreaks
-	c.BalloonReclaims += o.BalloonReclaims
-	c.CompactionMoves += o.CompactionMoves
-	c.ParallelEpochs += o.ParallelEpochs
-	c.ParallelDeferred += o.ParallelDeferred
-	c.IPIsLost += o.IPIsLost
-	c.ShootdownRetries += o.ShootdownRetries
-	c.AcksLost += o.AcksLost
-	c.RelayReissues += o.RelayReissues
-	c.MigrationLinkRetries += o.MigrationLinkRetries
-	c.BalloonReturns += o.BalloonReturns
+// numCounters is the number of counters in a Counters value. Every field
+// is a uint64 and the struct holds nothing else (TestCountersAreWords), so
+// a Counters is exactly numCounters words in declaration order.
+const numCounters = unsafe.Sizeof(Counters{}) / 8
+
+// words views c as its array of counters.
+func (c *Counters) words() *[numCounters]uint64 {
+	return (*[numCounters]uint64)(unsafe.Pointer(c))
 }
 
-// Sub subtracts o from c field by field. The time-sliced scheduler uses it
-// to attribute a quantum's counter delta to the VM that ran: snapshot at
-// switch-in, subtract at switch-out. Implemented by reflection over the
-// uint64 fields so it can never drift from the struct definition (Add is
-// kept hand-written for the hot aggregation path; the stats tests assert
-// the two agree on every field).
-func (c *Counters) Sub(o *Counters) {
-	cv := reflect.ValueOf(c).Elem()
-	ov := reflect.ValueOf(o).Elem()
-	for i := 0; i < cv.NumField(); i++ {
-		f := cv.Field(i)
-		f.SetUint(f.Uint() - ov.Field(i).Uint())
+// Add accumulates o into c.
+func (c *Counters) Add(o *Counters) {
+	w, ow := c.words(), o.words()
+	for i := range w {
+		w[i] += ow[i]
 	}
 }
 
-// Reset zeroes every counter.
-func (c *Counters) Reset() { *c = Counters{} }
+// Sub subtracts o from c. The time-sliced scheduler uses it to attribute a
+// quantum's counter delta to the VM that ran: snapshot at switch-in,
+// subtract at switch-out.
+func (c *Counters) Sub(o *Counters) {
+	w, ow := c.words(), o.words()
+	for i := range w {
+		w[i] -= ow[i]
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAddAccumulatesEveryField(t *testing.T) {
@@ -65,11 +66,18 @@ func TestSubInvertsAdd(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := Counters{MemRefs: 5, IPIs: 9}
-	c.Reset()
-	if c != (Counters{}) {
-		t.Errorf("Reset left state: %+v", c)
+// TestCountersAreWords pins the layout Add and Sub rely on: every field
+// is a uint64 and the struct holds nothing else, so it is exactly one
+// word per field.
+func TestCountersAreWords(t *testing.T) {
+	typ := reflect.TypeOf(Counters{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() != reflect.Uint64 {
+			t.Errorf("field %s is %s; every counter must be a uint64", f.Name, f.Type)
+		}
+	}
+	if got, want := unsafe.Sizeof(Counters{}), uintptr(8*typ.NumField()); got != want {
+		t.Errorf("Counters is %d bytes for %d fields; want %d", got, typ.NumField(), want)
 	}
 }
 
