@@ -7,39 +7,24 @@
 //	hatricsim -workload data_caching -protocol hatric -threads 16 -mode paged
 //
 // With -vms N the machine runs N consolidated VMs, each executing the
-// workload on its own -threads CPUs, and reports a per-VM breakdown.
+// workload on its own -threads CPUs, and reports a per-VM breakdown. With
+// -vcpus K > 1 the -vms x -threads vCPUs time-share threads*vms/K
+// physical CPUs under the round-robin scheduler. With -parallel N the
+// epoch-barrier parallel engine shards the physical CPUs across N worker
+// goroutines (see README, "Parallel execution").
 //
-// With -vcpus K > 1 the machine is overcommitted: the -vms x -threads
-// vCPUs time-share threads*vms/K physical CPUs under a round-robin
-// scheduler with a -quantum cycle time slice. VPID-tagged translation
-// structures keep the VMs' entries apart across world switches;
-// -flush-on-switch restores the no-VPID flush baseline.
+// Everything else a run can vary is a field of sim.Options, set by a JSON
+// scenario file overlaid on the options the flags build (see
+// sim.DecodeScenario): a field the file names replaces the flag-built
+// value, a nested object or an existing VM entry merges into it, enums
+// are written by name ("inf-hbm", "dram"), and unknown fields are errors.
+// A scenario that lists VMs must list exactly -vms of them. Memory is
+// sized for the final options.
 //
-// With -parallel N the epoch-barrier parallel engine shards the physical
-// CPUs across N worker goroutines (-epoch overrides the epoch length; see
-// README, "Parallel execution", for the timing model it implies).
+// Example (a protected VM beside a paging neighbor; the file holds
+// {"VMs":[{"QuotaShare":0.5},{}]}):
 //
-// Per-VM QoS tiers: -vm-mode, -vm-quota, and -vm-weight override the
-// machine-wide placement, reserve die-stacked frames (absolute, or a
-// share like 25%), and weight scheduler quanta per VM — comma-separated,
-// entry i configuring VM i, empty entries inheriting the machine-wide
-// flags. A per-VM QoS table reports each VM's reservation, fair share,
-// residency, and the frames other VMs' pressure stole from it.
-//
-// Example (a protected VM beside a paging neighbor):
-//
-//	hatricsim -vms 2 -threads 4 -protocol sw -vm-quota 50%,0
-//
-// Deterministic fault injection: -fault-ipi-loss, -fault-ack-loss, and
-// -fault-link-outage drop shootdown IPIs, invalidation acks, and
-// migration-link pump quanta with the given probabilities. Recovery —
-// timeouts, bounded retries, exponential backoff — is charged in cycles,
-// and every loss decision is a pure function of (seed, site, sequence), so
-// fault-injected runs replay bit-identically (see internal/faults).
-//
-// Example (a migration storm over a lossy fabric):
-//
-//	hatricsim -protocol sw -migrate 30000 -fault-ipi-loss 0.2 -fault-link-outage 0.1
+//	hatricsim -vms 2 -threads 4 -protocol sw -scenario cmd/hatricsim/scenarios/quota.json
 package main
 
 import (
@@ -48,11 +33,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
 	"hatric/internal/arch"
-	"hatric/internal/faults"
 	"hatric/internal/hv"
 	"hatric/internal/sim"
 	"hatric/internal/stats"
@@ -65,58 +47,19 @@ func main() {
 		protocol = flag.String("protocol", "hatric", "translation coherence: sw, hatric, hatric-pf, unitd, ideal")
 		threads  = flag.Int("threads", 16, "vCPU/thread count per VM")
 		vms      = flag.Int("vms", 1, "number of VMs, each running the workload on its own CPUs")
-		modeStr  = flag.String("mode", "paged", "placement: paged, no-hbm, inf-hbm")
-		policy   = flag.String("policy", "lru", "eviction policy: lru, fifo")
-		daemon   = flag.Bool("daemon", true, "enable migration daemon")
-		prefetch = flag.Int("prefetch", 4, "pages prefetched per fault")
-		defrag   = flag.Uint64("defrag", 0, "defragmentation remap period (0 = off)")
+		vcpus    = flag.Int("vcpus", 1, "vCPUs per physical CPU (overcommit ratio; >1 time-slices)")
 		refs     = flag.Uint64("refs", 0, "override per-thread references")
-		cotag    = flag.Int("cotag", 2, "co-tag bytes (1-3)")
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		check    = flag.Bool("check", true, "audit stale translations")
 		xen      = flag.Bool("xen", false, "use the Xen cost profile")
-
 		parallel = flag.Int("parallel", 0, "worker goroutines sharding the physical CPUs (0 = serial engine; see README, Parallel execution)")
-		epochLen = flag.Uint64("epoch", 0, "parallel epoch length in cycles (0 = default)")
-
-		vcpus   = flag.Int("vcpus", 1, "vCPUs per physical CPU (overcommit ratio; >1 time-slices)")
-		quantum = flag.Uint64("quantum", 0, "scheduler time slice in cycles (0 = default)")
-		flushsw = flag.Bool("flush-on-switch", false, "flush translation structures at cross-VM switches (no-VPID baseline)")
-
-		vmModes  = flag.String("vm-mode", "", "per-VM placement overrides, comma-separated (paged|no-hbm|inf-hbm; empty entry keeps -mode)")
-		vmQuotas = flag.String("vm-quota", "", "per-VM die-stacked reservations, comma-separated (frames, or a share like 25%)")
-		vmWeight = flag.String("vm-weight", "", "per-VM scheduler quantum weights, comma-separated (empty entry = 1)")
-
-		ksmEvery   = flag.Uint64("ksm", 0, "KSM dedup scan period in refs per CPU (0 = off)")
-		ksmShare   = flag.Float64("ksm-share", 0.5, "fraction of pages with duplicated content")
-		ksmBreak   = flag.Float64("ksm-break", 0.1, "probability a write to a shared page breaks the sharing")
-		ksmClasses = flag.Int("ksm-classes", 0, "distinct duplicated contents (0 = default)")
-
-		balloonSize    = flag.Int("balloon", 0, "inflate a balloon reclaiming this many frames (0 = off)")
-		balloonAt      = flag.Uint64("balloon-at", 0, "inflate the balloon at this cycle")
-		balloonVM      = flag.Int("balloon-vm", 0, "VM whose balloon inflates")
-		balloonDeflate = flag.Uint64("balloon-deflate-at", 0, "actively deflate the balloon at this cycle (0 = implicit deflation via guest re-faults)")
-
-		compactEvery  = flag.Uint64("compact", 0, "compaction window period in refs per CPU (0 = off)")
-		compactWindow = flag.Int("compact-window", 0, "pages relocated per compaction window (0 = default)")
-
-		migrateAt    = flag.Uint64("migrate", 0, "live-migrate a VM at this cycle (0 = off)")
-		migrateVM    = flag.Int("migrate-vm", 0, "VM to live-migrate")
-		migrateDest  = flag.String("migrate-dest", "dram", "migration destination: dram, hbm")
-		migrateBurst = flag.Int("migrate-burst", 0, "remaps per migration quantum (0 = default)")
-		migrateLink  = flag.Float64("migrate-link-bw", 0, "remote-host link bytes/cycle (0 = local tiers only)")
-
-		faultIPILoss  = flag.Float64("fault-ipi-loss", 0, "probability a shootdown IPI is lost in delivery (0 = off)")
-		faultAckLoss  = flag.Float64("fault-ack-loss", 0, "probability an invalidation ack is lost (0 = off)")
-		faultLinkLoss = flag.Float64("fault-link-outage", 0, "probability a migration pump quantum finds the link down (0 = off)")
-		faultIPITO    = flag.Uint64("fault-ipi-timeout", 0, "cycles before a lost IPI is re-sent (0 = default)")
-		faultAckTO    = flag.Uint64("fault-ack-timeout", 0, "cycles before a lost ack's invalidation is reissued (0 = default)")
-		faultRetries  = flag.Int("fault-retries", 0, "max re-sends per shootdown IPI (0 = default)")
-		faultSeed     = flag.Uint64("fault-seed", 0, "fault-injection seed (0 = the run seed)")
+		scenario = flag.String("scenario", "", "JSON file of sim.Options fields overlaid on the options the flags build")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
+	var mode hv.PlacementMode
+	flag.TextVar(&mode, "mode", hv.ModePaged, "placement: paged, no-hbm, inf-hbm")
 	flag.Parse()
 
 	spec, err := workload.ByName(*name)
@@ -126,12 +69,6 @@ func main() {
 	if *refs > 0 {
 		spec = spec.WithRefs(*refs)
 	}
-
-	mode, err := parseMode(*modeStr)
-	if err != nil {
-		fatal(err)
-	}
-
 	if *vms < 1 {
 		fatal(fmt.Errorf("need at least one VM, got %d", *vms))
 	}
@@ -143,83 +80,21 @@ func main() {
 	}
 	cfg := arch.DefaultConfig()
 	cfg.NumCPUs = *threads * *vms / *vcpus
-	cfg.TLB.CoTagBytes = *cotag
 	if *xen {
 		cfg.Cost = arch.XenCostModel()
 	}
-	sim.SizeConfig(&cfg, spec.FootprintPages**vms, mode)
-
 	opts := sim.Options{
-		Config:   cfg,
-		Protocol: *protocol,
-		Paging: hv.PagingConfig{
-			Policy:      *policy,
-			Daemon:      *daemon,
-			Prefetch:    *prefetch,
-			DefragEvery: *defrag,
-		},
-		Mode:            mode,
-		Seed:            *seed,
-		CheckStale:      *check,
-		VCPUsPerCPU:     *vcpus,
-		SchedQuantum:    arch.Cycles(*quantum),
-		FlushOnVMSwitch: *flushsw,
+		Config:      cfg,
+		Protocol:    *protocol,
+		Paging:      hv.BestPolicy(),
+		Mode:        mode,
+		Seed:        *seed,
+		CheckStale:  *check,
+		VCPUsPerCPU: *vcpus,
 		// Validation (negative counts, oversubscription against the
 		// machine's physical CPUs) lives in sim.New; its errors surface
 		// through fatal below.
 		ParallelCPUs: *parallel,
-		EpochCycles:  arch.Cycles(*epochLen),
-	}
-	if *ksmEvery > 0 {
-		opts.KSM = hv.KSMConfig{
-			ScanEvery:     *ksmEvery,
-			SharingFactor: *ksmShare,
-			BreakRate:     *ksmBreak,
-			ClassCount:    *ksmClasses,
-		}
-	}
-	if *balloonSize > 0 {
-		opts.Balloons = []hv.BalloonSpec{{
-			VM: *balloonVM, At: arch.Cycles(*balloonAt), Frames: *balloonSize,
-			DeflateAt: arch.Cycles(*balloonDeflate),
-		}}
-	}
-	if *faultIPILoss > 0 || *faultAckLoss > 0 || *faultLinkLoss > 0 {
-		opts.Faults = faults.Config{
-			Seed:             *faultSeed,
-			IPILossRate:      *faultIPILoss,
-			AckLossRate:      *faultAckLoss,
-			LinkOutageRate:   *faultLinkLoss,
-			IPITimeoutCycles: arch.Cycles(*faultIPITO),
-			AckTimeoutCycles: arch.Cycles(*faultAckTO),
-			MaxRetries:       *faultRetries,
-		}
-	}
-	if *compactEvery > 0 {
-		opts.Compaction = hv.CompactionConfig{
-			Every:       *compactEvery,
-			WindowPages: *compactWindow,
-		}
-	}
-	if *migrateAt > 0 {
-		var dest arch.MemTier
-		switch *migrateDest {
-		case "dram":
-			dest = arch.TierDRAM
-		case "hbm":
-			dest = arch.TierHBM
-		default:
-			fatal(fmt.Errorf("unknown migration destination %q", *migrateDest))
-		}
-		opts.Migrations = []hv.MigrationSpec{{
-			VM: *migrateVM, At: arch.Cycles(*migrateAt), Dest: dest,
-			BurstPages: *migrateBurst, LinkBytesPerCycle: *migrateLink,
-		}}
-		if dest == arch.TierHBM {
-			// A promotion needs die-stacked room for the whole VM.
-			sim.SizeConfig(&cfg, spec.FootprintPages**vms, hv.ModeInfHBM)
-			opts.Config = cfg
-		}
 	}
 	// Each VM runs its own instance of the workload on its own slice of
 	// physical CPUs — the consolidation setup (one VM is the paper's).
@@ -231,19 +106,26 @@ func main() {
 		opts.VMs = append(opts.VMs, sim.VMSpec{
 			Workloads: []sim.AssignedWorkload{{Spec: spec, CPUs: cpus}}})
 	}
-	if *vmWeight != "" && *vcpus <= 1 {
-		fatal(fmt.Errorf("-vm-weight needs the time-sliced scheduler; pass -vcpus > 1"))
-	}
-	qosFlags := *vmModes != "" || *vmQuotas != "" || *vmWeight != ""
-	if qosFlags {
-		if err := applyVMFlags(opts.VMs, *vmModes, *vmQuotas, *vmWeight); err != nil {
+	if *scenario != "" {
+		if err := overlay(&opts, *scenario); err != nil {
 			fatal(err)
 		}
-		// Per-VM pinned (inf-hbm) footprints and absolute reservations
-		// change what the die-stacked tier must hold; re-size for them.
-		sim.SizeConfigVMs(&cfg, opts.VMs, mode)
-		opts.Config = cfg
+		// encoding/json sets a slice to the length of its array, so a
+		// short VMs array would silently drop VMs.
+		if len(opts.VMs) != *vms {
+			fatal(fmt.Errorf("scenario %s lists %d VMs; -vms is %d", *scenario, len(opts.VMs), *vms))
+		}
 	}
+	// Size memory for the final VMs. A promotion into die-stacked memory
+	// needs room for the whole VM, so it sizes as inf-hbm.
+	sizeMode := opts.Mode
+	for _, m := range opts.Migrations {
+		if m.Dest == arch.TierHBM {
+			sizeMode = hv.ModeInfHBM
+		}
+	}
+	sim.SizeConfigVMs(&opts.Config, opts.VMs, sizeMode)
+
 	sys, err := sim.New(opts)
 	if err != nil {
 		fatal(err)
@@ -276,18 +158,35 @@ func main() {
 			fatal(err)
 		}
 	}
-	printResult(spec, *protocol, res)
-	if *vcpus > 1 {
+	printResult(opts.VMs[0].Workloads[0].Spec.Name, res)
+	if opts.VCPUsPerCPU > 1 {
 		printScheduler(res)
 	}
-	if *vms > 1 {
+	if len(opts.VMs) > 1 {
 		printPerVM(res)
 	}
-	if qosFlags {
-		printQoS(res)
+	for _, vm := range opts.VMs {
+		if vm.Mode != nil || vm.Paging != nil || vm.QuotaFrames != 0 || vm.QuotaShare != 0 ||
+			vm.QuotaWeight != 0 || vm.Weight != 0 {
+			printQoS(res)
+			break
+		}
 	}
 	printMigrations(res)
 	printStorms(res)
+}
+
+// overlay decodes the scenario file at path onto opts.
+func overlay(opts *sim.Options, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := sim.DecodeScenario(f, opts); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
 }
 
 // printStorms summarizes the memory-management storm sources: the KSM
@@ -305,85 +204,6 @@ func printStorms(res *sim.Result) {
 			fmt.Printf("balloon: deflation returned %d frames to VM %d\n", b.Returned, b.VM)
 		}
 	}
-}
-
-// parseMode maps a placement-mode name to the hv constant.
-func parseMode(name string) (hv.PlacementMode, error) {
-	switch name {
-	case "paged":
-		return hv.ModePaged, nil
-	case "no-hbm":
-		return hv.ModeNoHBM, nil
-	case "inf-hbm":
-		return hv.ModeInfHBM, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", name)
-}
-
-// splitPerVM splits a comma-separated per-VM flag value, padding missing
-// trailing entries with "" (inherit).
-func splitPerVM(s, flagName string, n int) ([]string, error) {
-	out := make([]string, n)
-	if s == "" {
-		return out, nil
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) > n {
-		return nil, fmt.Errorf("%s lists %d entries for %d VMs", flagName, len(parts), n)
-	}
-	for i, p := range parts {
-		out[i] = strings.TrimSpace(p)
-	}
-	return out, nil
-}
-
-// applyVMFlags folds the per-VM QoS flags into the machine description:
-// entry i configures VM i, empty entries inherit the machine-wide flags.
-func applyVMFlags(vms []sim.VMSpec, modes, quotas, weights string) error {
-	ms, err := splitPerVM(modes, "-vm-mode", len(vms))
-	if err != nil {
-		return err
-	}
-	qs, err := splitPerVM(quotas, "-vm-quota", len(vms))
-	if err != nil {
-		return err
-	}
-	ws, err := splitPerVM(weights, "-vm-weight", len(vms))
-	if err != nil {
-		return err
-	}
-	for v := range vms {
-		if ms[v] != "" {
-			m, err := parseMode(ms[v])
-			if err != nil {
-				return fmt.Errorf("-vm-mode entry %d: %w", v, err)
-			}
-			vms[v].Mode = &m
-		}
-		if qs[v] != "" {
-			if pct, ok := strings.CutSuffix(qs[v], "%"); ok {
-				f, err := strconv.ParseFloat(pct, 64)
-				if err != nil {
-					return fmt.Errorf("-vm-quota entry %d: bad share %q", v, qs[v])
-				}
-				vms[v].QuotaShare = f / 100
-			} else {
-				frames, err := strconv.Atoi(qs[v])
-				if err != nil {
-					return fmt.Errorf("-vm-quota entry %d: bad frame count %q", v, qs[v])
-				}
-				vms[v].QuotaFrames = frames
-			}
-		}
-		if ws[v] != "" {
-			w, err := strconv.Atoi(ws[v])
-			if err != nil {
-				return fmt.Errorf("-vm-weight entry %d: bad weight %q", v, ws[v])
-			}
-			vms[v].Weight = w
-		}
-	}
-	return nil
 }
 
 // printQoS summarizes each VM's die-stacked share accounting.
@@ -456,9 +276,9 @@ func printPerVM(res *sim.Result) {
 	fmt.Print(t)
 }
 
-func printResult(spec workload.Spec, protocol string, res *sim.Result) {
+func printResult(name string, res *sim.Result) {
 	a := &res.Agg
-	fmt.Printf("workload=%s protocol=%s\n", spec.Name, protocol)
+	fmt.Printf("workload=%s protocol=%s\n", name, res.Protocol)
 	fmt.Printf("runtime           %d cycles\n", res.Runtime)
 	fmt.Printf("cycles/ref        %.2f\n", float64(res.Runtime)/float64(a.MemRefs/uint64(len(res.Completion))))
 	t := stats.NewTable("", "event", "count")

@@ -17,8 +17,9 @@
 // configurable bursts, racing a write-tracked dirty set round by round
 // until a final stop-and-copy whose duration is the measured downtime —
 // the harshest translation-coherence storm the machine can produce. Drive
-// it with sim.Options.Migrations, `hatricsim -migrate`, the
-// examples/migration walkthrough, or `paperfigs -fig migration`.
+// it with sim.Options.Migrations (a `hatricsim -scenario` file's
+// "Migrations"), the examples/migration walkthrough, or
+// `paperfigs -fig migration`.
 //
 // # vCPU overcommit
 //
@@ -32,8 +33,9 @@
 // the paper's headline consolidation cost: an IPI to a descheduled vCPU
 // stalls the initiator until that vCPU's next quantum
 // (DescheduledStallCycles), while HATRIC's invalidations need no vCPU to
-// execute. Drive it with `hatricsim -vcpus -quantum`, the
-// examples/overcommit walkthrough, or `paperfigs -fig overcommit`.
+// execute. Drive it with `hatricsim -vcpus` (a scenario file sets
+// "SchedQuantum"), the examples/overcommit walkthrough, or
+// `paperfigs -fig overcommit`.
 //
 // # Per-VM QoS tiers
 //
@@ -48,22 +50,23 @@
 // never stolen from, so a noisy neighbor's paging can no longer force
 // shootdowns onto a protected, latency-sensitive VM. Result.QoS reports
 // each VM's reservation, residency, and stolen frames. Drive it with
-// the VMSpec fields, `hatricsim -vm-quota/-vm-mode/-vm-weight`, the
+// the VMSpec fields (a `hatricsim -scenario` file's "VMs"), the
 // examples/qos walkthrough, or `paperfigs -fig qos`.
 //
 // # Performance and determinism
 //
 // The per-reference hot path is allocation-free in steady state: the
 // coherence directory is an open-addressed table of inline entries with
-// an intrusive FIFO eviction ring, cache and translation-structure
-// metadata are flat packed arrays with exact rank-based LRU, the run
-// loop's min-clock scheduling uses an indexed heap, and the page-table
-// leaf caches are dense paged slices. These flattened structures are
-// guaranteed to be bit-identical in behavior to the map-and-scan
-// implementations they replaced — eviction order, LRU victims, and
-// tie-breaks included — so identical seeds keep producing identical
-// Result counters; internal/sim's golden-counter fingerprints and
-// steady-state zero-allocation test enforce both properties in CI.
+// an insertion-order eviction ring where capacity eviction is reachable,
+// cache and translation-structure metadata are flat packed arrays with
+// exact rank-based LRU, the run loop's min-clock scheduling uses an
+// indexed heap, and the page-table leaf caches are dense paged slices.
+// These flattened structures are guaranteed to be bit-identical in
+// behavior to the map-and-scan implementations they replaced — eviction
+// order, LRU victims, and tie-breaks included — so identical seeds keep
+// producing identical Result counters; internal/sim's golden-counter
+// fingerprints and steady-state zero-allocation test enforce both
+// properties in CI.
 //
 // # Parallel execution
 //

@@ -162,4 +162,25 @@ func TestTierString(t *testing.T) {
 	if MemTier(9).String() != "unknown-tier" {
 		t.Errorf("unknown tier name")
 	}
+	// The text encoding is the String name, both ways, and only for a
+	// valid tier.
+	for tier := TierHBM; tier < NumTiers; tier++ {
+		text, err := tier.MarshalText()
+		if err != nil || string(text) != tier.String() {
+			t.Errorf("%v marshals to %q, %v", tier, text, err)
+		}
+		var back MemTier
+		if err := back.UnmarshalText(text); err != nil || back != tier {
+			t.Errorf("%q unmarshals to %v, %v; want %v", text, back, err, tier)
+		}
+	}
+	for _, bad := range []MemTier{-1, NumTiers, 9} {
+		if _, err := bad.MarshalText(); err == nil {
+			t.Errorf("out-of-range tier %d marshaled", int(bad))
+		}
+	}
+	var back MemTier
+	if err := back.UnmarshalText([]byte("unknown-tier")); err == nil {
+		t.Errorf("unknown tier name unmarshaled")
+	}
 }

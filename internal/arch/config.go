@@ -1,5 +1,7 @@
 package arch
 
+import "fmt"
+
 // MemTier identifies one of the two memory devices.
 type MemTier int
 
@@ -21,6 +23,26 @@ func (t MemTier) String() string {
 		return "dram"
 	}
 	return "unknown-tier"
+}
+
+// MarshalText encodes the tier by its String name. An out-of-range tier
+// is an error, so no encoding names a tier the simulator does not know.
+func (t MemTier) MarshalText() ([]byte, error) {
+	if t < TierHBM || t >= NumTiers {
+		return nil, fmt.Errorf("arch: unknown memory tier %d", int(t))
+	}
+	return []byte(t.String()), nil
+}
+
+// UnmarshalText decodes a tier from its String name.
+func (t *MemTier) UnmarshalText(text []byte) error {
+	for c := TierHBM; c < NumTiers; c++ {
+		if c.String() == string(text) {
+			*t = c
+			return nil
+		}
+	}
+	return fmt.Errorf("arch: unknown memory tier %q (want hbm or dram)", text)
 }
 
 // MemConfig describes the two-level memory system. Frame counts are in

@@ -8,7 +8,7 @@ import (
 
 // BalloonSpec configures one balloon inflation: at cycle At the balloon
 // driver inside VM VM starts handing die-stacked frames back to the host,
-// Frames in total, BurstFrames per pump quantum. Every returned frame goes
+// Frames in total, balloonBurst per pump quantum. Every returned frame goes
 // through the quota-aware eviction path (a present-to-not-present remap,
 // so translation coherence runs per frame — the balloon storm), and the
 // inflation never digs below the VM's reserved share. Without DeflateAt,
@@ -25,23 +25,17 @@ type BalloonSpec struct {
 	// Frames is the inflation target: how many die-stacked frames to
 	// reclaim.
 	Frames int
-	// BurstFrames bounds the reclaims per pump quantum so the storm
-	// interleaves with guest execution. Zero defaults to 8.
-	BurstFrames int
 	// DeflateAt, when nonzero, schedules the deflation: starting at this
 	// cycle the driver re-faults the VM into the frames the inflation
-	// reclaimed (BurstFrames per quantum), counting each return in
+	// reclaimed (balloonBurst per quantum), counting each return in
 	// BalloonReport.Returned and stats.Counters.BalloonReturns. Zero
 	// keeps the legacy inflate-only behavior bit-identically.
 	DeflateAt arch.Cycles
 }
 
-func (s *BalloonSpec) burst() int {
-	if s.BurstFrames > 0 {
-		return s.BurstFrames
-	}
-	return 8
-}
+// balloonBurst bounds a balloon's reclaims (and returns) per pump quantum
+// so the storm interleaves with guest execution.
+const balloonBurst = 8
 
 // BalloonReport is the outcome of one balloon inflation.
 type BalloonReport struct {
@@ -165,7 +159,7 @@ func (h *Hypervisor) BalloonReports() []BalloonReport {
 }
 
 // PumpBalloons advances every balloon whose driver is cpu: it triggers
-// pending inflations whose time has come and reclaims up to BurstFrames
+// pending inflations whose time has come and reclaims up to balloonBurst
 // frames per active balloon, each through the targeted eviction path of
 // the balloon's own VM. Returns the cycles the driver vCPU stalls.
 //
@@ -205,7 +199,7 @@ func (h *Hypervisor) pumpBalloon(b *Balloon, now arch.Cycles) arch.Cycles {
 	var lat arch.Cycles
 	vmIdx := b.spec.VM
 	c := h.machine.Counters(b.driver)
-	for n := 0; n < b.spec.burst(); n++ {
+	for n := 0; n < balloonBurst; n++ {
 		if b.report.Reclaimed >= b.spec.Frames {
 			break
 		}
@@ -241,7 +235,7 @@ func (h *Hypervisor) pumpDeflate(b *Balloon, now arch.Cycles) arch.Cycles {
 	var lat arch.Cycles
 	vmIdx := b.spec.VM
 	c := h.machine.Counters(b.driver)
-	for n := 0; n < b.spec.burst(); n++ {
+	for n := 0; n < balloonBurst; n++ {
 		if b.epos >= len(b.evicted) {
 			h.finishBalloon(b, now+lat)
 			return lat

@@ -345,4 +345,25 @@ func TestPlacementModeString(t *testing.T) {
 	if PlacementMode(9).String() != "unknown-mode" {
 		t.Errorf("unknown mode name")
 	}
+	// The text encoding is the String name, both ways, and only for a
+	// valid mode.
+	for _, mode := range []PlacementMode{ModePaged, ModeNoHBM, ModeInfHBM} {
+		text, err := mode.MarshalText()
+		if err != nil || string(text) != mode.String() {
+			t.Errorf("%v marshals to %q, %v", mode, text, err)
+		}
+		var back PlacementMode
+		if err := back.UnmarshalText(text); err != nil || back != mode {
+			t.Errorf("%q unmarshals to %v, %v; want %v", text, back, err, mode)
+		}
+	}
+	for _, bad := range []PlacementMode{-1, 3, 9} {
+		if _, err := bad.MarshalText(); err == nil {
+			t.Errorf("out-of-range mode %d marshaled", int(bad))
+		}
+	}
+	var back PlacementMode
+	if err := back.UnmarshalText([]byte("inf_hbm")); err == nil {
+		t.Errorf("misspelled mode name unmarshaled")
+	}
 }

@@ -26,29 +26,25 @@ type MigrationSpec struct {
 	// DRAM-resident VM into die-stacked memory.
 	Dest arch.MemTier
 	// LinkBytesPerCycle, when positive, routes every page copy over a
-	// simulated inter-host link with this bandwidth (remote live
-	// migration). Zero keeps copies between the local devices only.
+	// simulated inter-host link with this bandwidth and an unloaded
+	// latency of linkLatency (remote live migration). Zero keeps copies
+	// between the local devices only.
 	LinkBytesPerCycle float64
-	// LinkLatency is the unloaded latency of the link (remote only).
-	LinkLatency arch.Cycles
 	// BurstPages is the remap-burst batching knob: at most this many pages
 	// are remapped per pump quantum, so the coherence storm interleaves
 	// with normal guest execution instead of landing all at once.
-	// Zero defaults to 32.
+	// Zero defaults to 32. It also sets the stop-and-copy threshold: the
+	// engine stops the VM and copies the remainder once the dirty set
+	// holds at most one burst.
 	BurstPages int
-	// ScanPages bounds how many queue entries one pump quantum may
-	// examine, moved or not. Without it, a quantum whose queue is full of
-	// already-handled pages (evicted behind the snapshot, or already at
-	// the destination) would scan the entire queue in one pump, defeating
-	// the BurstPages interleaving. Zero defaults to 8x the burst.
-	ScanPages int
 	// MaxRounds bounds the pre-copy rounds before the engine forces the
 	// stop-and-copy. Zero defaults to 8.
 	MaxRounds int
-	// StopThreshold is the dirty-set size at or below which the engine
-	// stops the VM and copies the remainder. Zero defaults to BurstPages.
-	StopThreshold int
 }
+
+// linkLatency is the unloaded latency of a remote migration's link: a few
+// microseconds of fabric at GHz clocks.
+const linkLatency arch.Cycles = 2000
 
 func (s *MigrationSpec) burst() int {
 	if s.BurstPages > 0 {
@@ -57,10 +53,12 @@ func (s *MigrationSpec) burst() int {
 	return 32
 }
 
+// scanBudget bounds how many queue entries one pump quantum may examine,
+// moved or not. Without it, a quantum whose queue is full of
+// already-handled pages (evicted behind the snapshot, or already at the
+// destination) would scan the entire queue in one pump, defeating the
+// BurstPages interleaving.
 func (s *MigrationSpec) scanBudget() int {
-	if s.ScanPages > 0 {
-		return s.ScanPages
-	}
 	return 8 * s.burst()
 }
 
@@ -69,13 +67,6 @@ func (s *MigrationSpec) maxRounds() int {
 		return s.MaxRounds
 	}
 	return 8
-}
-
-func (s *MigrationSpec) stopThreshold() int {
-	if s.StopThreshold > 0 {
-		return s.StopThreshold
-	}
-	return s.burst()
 }
 
 // RoundStats describes one pre-copy round (or the final stop-and-copy
@@ -273,11 +264,7 @@ func (h *Hypervisor) ScheduleMigration(spec MigrationSpec) (*Migration, error) {
 		},
 	}
 	if spec.LinkBytesPerCycle > 0 {
-		lat := spec.LinkLatency
-		if lat == 0 {
-			lat = 2000 // a few microseconds of fabric at GHz clocks
-		}
-		m.link = memdev.NewDevice(arch.TierDRAM, lat, spec.LinkBytesPerCycle)
+		m.link = memdev.NewDevice(arch.TierDRAM, linkLatency, spec.LinkBytesPerCycle)
 	}
 	h.migrations = append(h.migrations, m)
 	h.unfinishedMigrations++
@@ -413,7 +400,7 @@ func (h *Hypervisor) startMigration(m *Migration, now arch.Cycles) {
 
 // pumpOne performs one burst quantum of migration m and returns the driver
 // cycles consumed. A quantum ends when BurstPages pages have moved — or
-// when ScanPages queue entries have been examined, whichever comes first,
+// when scanBudget queue entries have been examined, whichever comes first,
 // so a stretch of already-handled pages cannot turn one quantum into a
 // whole-queue sweep. Round cycle attribution is kept exact across round
 // boundaries inside a quantum: each round receives only the latency
@@ -483,8 +470,7 @@ func (h *Hypervisor) finishRound(m *Migration, now arch.Cycles, lat *arch.Cycles
 		m.lastDirty = len(m.dirtyList)
 		stuck = m.stallRounds >= 2
 	}
-	if len(m.dirtyList) > 0 && !stuck &&
-		len(m.dirtyList) > m.spec.stopThreshold() && m.round < m.spec.maxRounds() {
+	if !stuck && len(m.dirtyList) > m.spec.burst() && m.round < m.spec.maxRounds() {
 		// Another pre-copy round over the dirty set.
 		//hatric:alloc-ok reuses the queue's capacity; grows only while the dirty set still grows
 		m.queue = append(m.queue[:0], m.dirtyList...)

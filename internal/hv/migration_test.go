@@ -288,10 +288,6 @@ func TestPumpScanBudget(t *testing.T) {
 	if rep.PagesCopied != 0 {
 		t.Errorf("pages copied = %d, want 0 (everything was already at the destination)", rep.PagesCopied)
 	}
-	// An explicit ScanPages knob overrides the default bound.
-	if (&MigrationSpec{BurstPages: 4, ScanPages: 7}).scanBudget() != 7 {
-		t.Errorf("ScanPages knob ignored")
-	}
 	if (&MigrationSpec{BurstPages: 4}).scanBudget() != 32 {
 		t.Errorf("default scan budget should be 8x the burst")
 	}

@@ -55,6 +55,26 @@ func (m PlacementMode) String() string {
 	return "unknown-mode"
 }
 
+// MarshalText encodes the mode by its String name. An out-of-range mode
+// is an error, so no encoding names a mode the hypervisor does not know.
+func (m PlacementMode) MarshalText() ([]byte, error) {
+	if m < ModePaged || m > ModeInfHBM {
+		return nil, fmt.Errorf("hv: unknown placement mode %d", int(m))
+	}
+	return []byte(m.String()), nil
+}
+
+// UnmarshalText decodes a mode from its String name.
+func (m *PlacementMode) UnmarshalText(text []byte) error {
+	for c := ModePaged; c <= ModeInfHBM; c++ {
+		if c.String() == string(text) {
+			*m = c
+			return nil
+		}
+	}
+	return fmt.Errorf("hv: unknown placement mode %q (want paged, no-hbm or inf-hbm)", text)
+}
+
 // VM is one virtual machine: a dense machine-wide ID (the hardware VPID
 // that VM-qualifies translation coherence), a nested page table, one guest
 // page table per process, and the set of physical CPUs its vCPUs run on.

@@ -237,7 +237,7 @@ func goldenScenarios() map[string]func(protocol string) Options {
 					{Workloads: []AssignedWorkload{{Spec: small, CPUs: []int{0, 1}}}},
 					{Workloads: []AssignedWorkload{{Spec: small, CPUs: []int{2, 3}}}},
 				},
-				Balloons: []hv.BalloonSpec{{VM: 1, At: 30_000, Frames: 64, BurstFrames: 8}},
+				Balloons: []hv.BalloonSpec{{VM: 1, At: 30_000, Frames: 64}},
 				Seed:     31,
 			}
 		},

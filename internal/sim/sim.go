@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"reflect"
 
 	"hatric/internal/arch"
 	"hatric/internal/cache"
@@ -109,7 +110,7 @@ func StripedVMs(spec workload.Spec, pcpus, ratio int) []VMSpec {
 // Options configures one simulation run.
 type Options struct {
 	Config   arch.Config
-	Protocol string // "sw", "hatric", "unitd", "ideal"
+	Protocol string // "sw", "hatric", "hatric-pf", "unitd", "ideal"
 	// Paging and Mode are the machine-wide paging configuration and data
 	// placement. They are the defaults every VM inherits; individual VMs
 	// override them (and add die-stacked quotas and scheduler weights)
@@ -439,8 +440,13 @@ type System struct {
 	par *parState
 }
 
-// New builds a system from the options.
+// New builds a system from the options. It rejects options that hold a
+// NaN or infinite float anywhere, so every Options it accepts encodes
+// with encoding/json.
 func New(opts Options) (*System, error) {
+	if path, bad := nonFinite(reflect.ValueOf(&opts).Elem()); bad {
+		return nil, fmt.Errorf("sim: Options%s is not finite", path)
+	}
 	cfg := opts.Config
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -198,11 +199,12 @@ func TestBadOptionsRejected(t *testing.T) {
 			t.Errorf("case %d: invalid options accepted", i)
 		}
 	}
-	noCPUs, noHBMBandwidth, negDRAMBandwidth := cfg, cfg, cfg
+	noCPUs, noHBMBandwidth, negDRAMBandwidth, nanCPI := cfg, cfg, cfg, cfg
 	noCPUs.NumCPUs = 0
 	noHBMBandwidth.Mem.HBMBytesPerCycle = 0
 	negDRAMBandwidth.Mem.DRAMBytesPerCycle = -1
-	for i, badCfg := range []arch.Config{noCPUs, noHBMBandwidth, negDRAMBandwidth} {
+	nanCPI.Cost.BaseCPI = math.NaN()
+	for i, badCfg := range []arch.Config{noCPUs, noHBMBandwidth, negDRAMBandwidth, nanCPI} {
 		if _, err := New(Options{Config: badCfg, Protocol: "hatric",
 			Workloads: SingleWorkload(smokeSpec(), 1)}); err == nil {
 			t.Errorf("config %d: invalid config accepted", i)
