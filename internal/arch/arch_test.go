@@ -159,12 +159,15 @@ func TestTierString(t *testing.T) {
 	if TierHBM.String() != "hbm" || TierDRAM.String() != "dram" {
 		t.Errorf("tier names wrong: %v %v", TierHBM, TierDRAM)
 	}
-	if MemTier(9).String() != "unknown-tier" {
-		t.Errorf("unknown tier name")
+	// The zero tier names no tier, so an unset Dest cannot mean HBM.
+	for _, bad := range []MemTier{0, 9} {
+		if bad.String() != "unknown-tier" {
+			t.Errorf("MemTier(%d) is named %q, want unknown-tier", int(bad), bad.String())
+		}
 	}
 	// The text encoding is the String name, both ways, and only for a
 	// valid tier.
-	for tier := TierHBM; tier < NumTiers; tier++ {
+	for tier := TierHBM; tier < endTier; tier++ {
 		text, err := tier.MarshalText()
 		if err != nil || string(text) != tier.String() {
 			t.Errorf("%v marshals to %q, %v", tier, text, err)
@@ -174,7 +177,7 @@ func TestTierString(t *testing.T) {
 			t.Errorf("%q unmarshals to %v, %v; want %v", text, back, err, tier)
 		}
 	}
-	for _, bad := range []MemTier{-1, NumTiers, 9} {
+	for _, bad := range []MemTier{-1, 0, endTier, 9} {
 		if _, err := bad.MarshalText(); err == nil {
 			t.Errorf("out-of-range tier %d marshaled", int(bad))
 		}

@@ -5,13 +5,15 @@ import "fmt"
 // MemTier identifies one of the two memory devices.
 type MemTier int
 
+// The tiers count from 1, so the zero MemTier names no tier: a spec that
+// leaves its tier unset fails validation instead of meaning die-stacked.
 const (
 	// TierHBM is the fast die-stacked DRAM.
-	TierHBM MemTier = iota
+	TierHBM MemTier = iota + 1
 	// TierDRAM is the slow off-chip DRAM.
 	TierDRAM
-	// NumTiers is the number of memory tiers.
-	NumTiers
+	// endTier is one past the last tier.
+	endTier
 )
 
 // String returns the conventional name of the tier.
@@ -28,7 +30,7 @@ func (t MemTier) String() string {
 // MarshalText encodes the tier by its String name. An out-of-range tier
 // is an error, so no encoding names a tier the simulator does not know.
 func (t MemTier) MarshalText() ([]byte, error) {
-	if t < TierHBM || t >= NumTiers {
+	if t < TierHBM || t >= endTier {
 		return nil, fmt.Errorf("arch: unknown memory tier %d", int(t))
 	}
 	return []byte(t.String()), nil
@@ -36,7 +38,7 @@ func (t MemTier) MarshalText() ([]byte, error) {
 
 // UnmarshalText decodes a tier from its String name.
 func (t *MemTier) UnmarshalText(text []byte) error {
-	for c := TierHBM; c < NumTiers; c++ {
+	for c := TierHBM; c < endTier; c++ {
 		if c.String() == string(text) {
 			*t = c
 			return nil

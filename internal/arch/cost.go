@@ -37,11 +37,6 @@ type CostModel struct {
 	// FlushOp is the target-side cost of issuing the full translation
 	// structure flush itself (the refills are modeled separately).
 	FlushOp Cycles
-	// Invlpg is the cost of one selective invalidation instruction.
-	// Guest-initiated guest-page-table changes use it (guests know the
-	// guest virtual page, Sec. 3.3); the recorded experiments exercise
-	// hypervisor-initiated nested remaps, where no invlpg is possible.
-	Invlpg Cycles
 
 	// HypervisorFault is the software path length of the page-fault
 	// handler, excluding the data copy and translation coherence.
@@ -69,7 +64,6 @@ func KVMCostModel() CostModel {
 		IPIDeliver:       500,
 		Interrupt:        640,
 		FlushOp:          200,
-		Invlpg:           120,
 		HypervisorFault:  1800,
 		PTEWrite:         12,
 		BaseCPI:          0.5,

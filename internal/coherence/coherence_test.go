@@ -13,9 +13,8 @@ import (
 // structure holding entries from a configurable set of lines.
 type fakeHook struct {
 	invalidations []struct {
-		CPU  int
-		SPA  arch.SPA
-		Kind cache.IsPTKind
+		CPU int
+		SPA arch.SPA
 	}
 	// holds[cpu] is the set of line indices the CPU's translation
 	// structures cache; invalidation drops the line and returns 1.
@@ -35,12 +34,11 @@ func (f *fakeHook) hold(cpu int, spa arch.SPA) {
 	f.holds[cpu][spa.LineIndex()] = true
 }
 
-func (f *fakeHook) OnPTInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind) (int, bool) {
+func (f *fakeHook) OnPTInvalidation(cpu int, spa arch.SPA) (int, bool) {
 	f.invalidations = append(f.invalidations, struct {
-		CPU  int
-		SPA  arch.SPA
-		Kind cache.IsPTKind
-	}{cpu, spa, kind})
+		CPU int
+		SPA arch.SPA
+	}{cpu, spa})
 	n := 0
 	if f.holds[cpu][spa.LineIndex()] {
 		delete(f.holds[cpu], spa.LineIndex())
@@ -49,12 +47,12 @@ func (f *fakeHook) OnPTInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind) 
 	return n, f.remains
 }
 
-func (f *fakeHook) OnPTBackInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind) int {
-	n, _ := f.OnPTInvalidation(cpu, spa, kind)
+func (f *fakeHook) OnPTBackInvalidation(cpu int, spa arch.SPA) int {
+	n, _ := f.OnPTInvalidation(cpu, spa)
 	return n
 }
 
-func (f *fakeHook) CachesPTLine(cpu int, spa arch.SPA, kind cache.IsPTKind) bool {
+func (f *fakeHook) CachesPTLine(cpu int, spa arch.SPA) bool {
 	return f.holds[cpu][spa.LineIndex()]
 }
 
@@ -152,7 +150,7 @@ func TestOwnerDowngradeOnRead(t *testing.T) {
 func TestPTWriteRelaysToTranslationStructures(t *testing.T) {
 	h, cnt, _ := testHier(t, 3, nil)
 	hook := newFakeHook()
-	h.SetTranslationHook(hook, true)
+	h.SetTranslationHook(hook)
 	spa := arch.SPA(0x50000)
 	// CPU 1 and 2 read the PT line (walker behaviour) and cache a
 	// translation from it.
@@ -180,15 +178,24 @@ func TestPTWriteRelaysToTranslationStructures(t *testing.T) {
 	}
 }
 
+// Software coherence installs no hook: a PT-line write still invalidates
+// the other CPUs' cached copies, but relays nothing and registers no
+// translation-structure sharers.
 func TestPTWriteWithoutRelay(t *testing.T) {
-	h, _, _ := testHier(t, 2, nil)
-	hook := newFakeHook()
-	h.SetTranslationHook(hook, false) // software coherence
+	h, cnt, _ := testHier(t, 2, nil)
+	h.SetTranslationHook(nil)
 	spa := arch.SPA(0x60000)
 	h.Read(1, spa, cache.KindNestedPT, 0)
+	h.NoteTranslationFill(1, spa, cache.KindNestedPT)
+	if e := h.Directory().Peek(cache.Tag(spa)); e == nil || e.tsSharers != 0 {
+		t.Errorf("software mode registered translation-structure sharers: %+v", e)
+	}
 	h.Write(0, spa, cache.KindNestedPT, 0)
-	if len(hook.invalidations) != 0 {
-		t.Errorf("software mode relayed %d invalidations", len(hook.invalidations))
+	if _, ok := h.L1(1).Peek(cache.Tag(spa)); ok {
+		t.Errorf("the write left CPU 1's cached copy valid")
+	}
+	if n := cnt[0].SelectiveInvalidations + cnt[1].SelectiveInvalidations; n != 0 {
+		t.Errorf("software mode relayed %d translation invalidations", n)
 	}
 }
 
@@ -197,7 +204,7 @@ func TestPTWriteWithoutRelay(t *testing.T) {
 func TestLazySharerKeepsTSTargeted(t *testing.T) {
 	h, _, cfg := testHier(t, 2, nil)
 	hook := newFakeHook()
-	h.SetTranslationHook(hook, true)
+	h.SetTranslationHook(hook)
 	spa := arch.SPA(0x70000)
 	h.Read(1, spa, cache.KindNestedPT, 0)
 	hook.hold(1, spa)
@@ -223,7 +230,7 @@ func TestLazySharerKeepsTSTargeted(t *testing.T) {
 func TestSpuriousInvalidationDemotes(t *testing.T) {
 	h, cnt, _ := testHier(t, 2, nil)
 	hook := newFakeHook()
-	h.SetTranslationHook(hook, true)
+	h.SetTranslationHook(hook)
 	spa := arch.SPA(0x80000)
 	// CPU 1 is on the sharer list (a translation fill was noted) but holds
 	// neither a cached copy nor any translation entries (hook empty), so
@@ -277,7 +284,7 @@ func TestFineGrainedRelayOnlyToTSSharers(t *testing.T) {
 		c.Dir.FineGrained = true
 	})
 	hook := newFakeHook()
-	h.SetTranslationHook(hook, true)
+	h.SetTranslationHook(hook)
 	spa := arch.SPA(0x90000)
 	// CPU 1 caches the PT line but has no translations from it; CPU 2 has
 	// a translation (via NoteTranslationFill).
@@ -302,7 +309,7 @@ func TestEagerEvictionDemotion(t *testing.T) {
 		c.Dir.EagerUpdate = true
 	})
 	hook := newFakeHook()
-	h.SetTranslationHook(hook, true)
+	h.SetTranslationHook(hook)
 	spa := arch.SPA(0xA0000)
 	h.NoteTranslationFill(1, spa, cache.KindNestedPT)
 	// No private cache copy, no TS entry: the eviction note demotes CPU 1

@@ -7,12 +7,13 @@ import (
 	"hatric/internal/stats"
 )
 
-// TranslationHook is implemented by the translation-coherence layer. The
-// hierarchy calls it when an invalidation (write-invalidation or directory
-// back-invalidation) of a page-table line must be relayed to a CPU's
-// translation structures. Hardware protocols (HATRIC, UNITD++) invalidate
-// matching entries; the software protocol installs no hook and relies on
-// hypervisor-driven flushes instead.
+// TranslationHook is implemented by the hardware translation-coherence
+// protocols (HATRIC, UNITD++, ideal): implementing it is what makes a
+// protocol a hardware one. The hierarchy calls it when an invalidation
+// (write-invalidation or directory back-invalidation) of a page-table line
+// must be relayed to a CPU's translation structures, and the hook
+// invalidates matching entries. The software protocol installs no hook and
+// relies on hypervisor-driven flushes instead.
 type TranslationHook interface {
 	// OnPTInvalidation relays the invalidation of the page-table entry at
 	// spa to cpu's translation structures. It returns how many translation
@@ -21,16 +22,16 @@ type TranslationHook interface {
 	// invalidation such as the ideal protocol, or partial structure
 	// coverage such as UNITD++); survivors keep the CPU on the sharer
 	// list so future writes still reach it.
-	OnPTInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind) (dropped int, remains bool)
+	OnPTInvalidation(cpu int, spa arch.SPA) (dropped int, remains bool)
 	// OnPTBackInvalidation handles a directory capacity eviction: the
 	// whole line loses its directory entry, so every translation sourced
 	// from it must drop regardless of the protocol's write-invalidation
 	// granularity. Returns entries dropped.
-	OnPTBackInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind) int
+	OnPTBackInvalidation(cpu int, spa arch.SPA) int
 	// CachesPTLine reports whether cpu's translation structures currently
 	// hold entries sourced from spa's cache line. Used by the eager
 	// directory update ablation; implementations count the lookup energy.
-	CachesPTLine(cpu int, spa arch.SPA, kind cache.IsPTKind) bool
+	CachesPTLine(cpu int, spa arch.SPA) bool
 }
 
 // Hierarchy owns the private caches, the shared LLC, the coherence
@@ -46,8 +47,9 @@ type Hierarchy struct {
 	llc *cache.Cache
 	dir *Directory
 
-	hook    TranslationHook
-	relayTS bool // relay PT invalidations to translation structures
+	// hook receives page-table-line invalidations for the translation
+	// structures; nil (software coherence) relays nothing.
+	hook TranslationHook
 
 	// def, when non-nil, puts the hierarchy in epoch-deferred mode (the
 	// sim package's parallel epochs): Read/Write serve what they can from
@@ -96,13 +98,10 @@ func maxLiveEntries(cfg *arch.Config, l2Lines int) int {
 	return cfg.NumCPUs*l2Lines + cfg.Mem.PTFrames*(arch.PageSize/arch.LineSize) + 1
 }
 
-// SetTranslationHook installs the translation-coherence hook. relay selects
-// whether PT-line invalidations are relayed to translation structures
-// (true for HATRIC and UNITD++, false for the software baseline).
-func (h *Hierarchy) SetTranslationHook(hook TranslationHook, relay bool) {
-	h.hook = hook
-	h.relayTS = relay
-}
+// SetTranslationHook installs the translation-coherence hook: PT-line
+// invalidations are relayed to translation structures exactly when hook is
+// non-nil (a hardware protocol; nil for the software baseline).
+func (h *Hierarchy) SetTranslationHook(hook TranslationHook) { h.hook = hook }
 
 // SetDeferredLog arms (non-nil) or disarms (nil) epoch-deferred mode.
 // While armed, only per-CPU private state is mutated by Read/Write and the
@@ -112,9 +111,6 @@ func (h *Hierarchy) SetDeferredLog(d *DeferredLog) { h.def = d }
 
 // Directory exposes the directory (tests and the experiment harness).
 func (h *Hierarchy) Directory() *Directory { return h.dir }
-
-// LLC exposes the shared cache.
-func (h *Hierarchy) LLC() *cache.Cache { return h.llc }
 
 // L1 returns cpu's private L1.
 func (h *Hierarchy) L1(cpu int) *cache.Cache { return h.l1[cpu] }
@@ -272,7 +268,6 @@ func (h *Hierarchy) Write(cpu int, spa arch.SPA, kind cache.IsPTKind, now arch.C
 	if all != 0 {
 		lat += 2 * h.cost.DirHop
 	}
-	kindForRelay := e.Kind()
 	var survivors uint64
 	for t := 0; t < h.cfg.NumCPUs; t++ {
 		bit := uint64(1) << uint(t)
@@ -287,9 +282,9 @@ func (h *Hierarchy) Write(cpu int, spa arch.SPA, kind cache.IsPTKind, now arch.C
 			inCache = in1 || in2
 		}
 		tsDropped := 0
-		if h.relayTS && h.hook != nil && e.IsPT() && tsTargets&bit != 0 {
+		if h.hook != nil && e.IsPT() && tsTargets&bit != 0 {
 			var remains bool
-			tsDropped, remains = h.hook.OnPTInvalidation(t, spa, kindForRelay)
+			tsDropped, remains = h.hook.OnPTInvalidation(t, spa)
 			h.cnt[t].SelectiveInvalidations += uint64(tsDropped)
 			if remains {
 				survivors |= bit
@@ -303,8 +298,8 @@ func (h *Hierarchy) Write(cpu int, spa arch.SPA, kind cache.IsPTKind, now arch.C
 	}
 	// The writer's own translation structures snoop its own store too: the
 	// CPU running the hypervisor may well cache the stale translation.
-	if h.relayTS && h.hook != nil && e.IsPT() {
-		dropped, remains := h.hook.OnPTInvalidation(cpu, spa, kindForRelay)
+	if h.hook != nil && e.IsPT() {
+		dropped, remains := h.hook.OnPTInvalidation(cpu, spa)
 		c.SelectiveInvalidations += uint64(dropped)
 		if remains {
 			survivors |= bitW
@@ -393,7 +388,7 @@ func (h *Hierarchy) deferredWrite(cpu int, spa arch.SPA, kind cache.IsPTKind, no
 // pseudo-specific directory this only merges the kind bits; in fine-grained
 // mode it also sets the translation-structure sharer bit.
 func (h *Hierarchy) NoteTranslationFill(cpu int, spa arch.SPA, kind cache.IsPTKind) {
-	if !h.relayTS {
+	if h.hook == nil {
 		// Software coherence: translation structures are not coherence
 		// participants; the hypervisor flushes them explicitly.
 		return
@@ -443,7 +438,7 @@ func (h *Hierarchy) NoteTranslationEviction(cpu int, spa arch.SPA, kind cache.Is
 	if _, ok := h.l2[cpu].Peek(tag); ok {
 		return
 	}
-	if h.hook != nil && h.hook.CachesPTLine(cpu, spa.Line(), kind) {
+	if h.hook != nil && h.hook.CachesPTLine(cpu, spa.Line()) {
 		return
 	}
 	if h.dir.entries[idx].RemoveSharer(cpu) {
@@ -522,7 +517,7 @@ func (h *Hierarchy) notePrivateEviction(cpu int, v cache.Victim) {
 		return
 	}
 	if isPT && h.cfg.Dir.EagerUpdate && h.hook != nil &&
-		h.hook.CachesPTLine(cpu, arch.SPA(v.Tag<<arch.LineShift), e.Kind()) {
+		h.hook.CachesPTLine(cpu, arch.SPA(v.Tag<<arch.LineShift)) {
 		// Eager update still may not demote: translations remain cached.
 		e.cacheSharers &^= 1 << uint(cpu)
 		e.tsSharers |= 1 << uint(cpu)
@@ -549,8 +544,8 @@ func (h *Hierarchy) backInvalidate(tag uint64, e *Entry) {
 		}
 		h.l1[t].Invalidate(tag)
 		h.l2[t].Invalidate(tag)
-		if h.relayTS && h.hook != nil && e.IsPT() {
-			dropped := h.hook.OnPTBackInvalidation(t, spa, e.Kind())
+		if h.hook != nil && e.IsPT() {
+			dropped := h.hook.OnPTBackInvalidation(t, spa)
 			h.cnt[t].SelectiveInvalidations += uint64(dropped)
 		}
 	}

@@ -23,7 +23,7 @@ func TestSharerSupersetInvariant(t *testing.T) {
 			c.Dir.Entries = 0 // infinite: isolate the lazy-update logic
 		})
 		hook := newFakeHook()
-		h.SetTranslationHook(hook, true)
+		h.SetTranslationHook(hook)
 		rng := xrand.New(seed)
 		lines := []arch.SPA{0x10000, 0x10040, 0x20000, 0x20040}
 
@@ -129,7 +129,7 @@ func TestLiveEntryBound(t *testing.T) {
 func driveRandom(t *testing.T, h *Hierarchy, cfg *arch.Config, seed uint64, steps int, check func(step int)) int {
 	t.Helper()
 	hook := newFakeHook()
-	h.SetTranslationHook(hook, true)
+	h.SetTranslationHook(hook)
 	rng := xrand.New(seed)
 	ptLines := cfg.Mem.PTFrames * (arch.PageSize / arch.LineSize)
 	dataLines := 2 * cfg.NumCPUs * h.L2(0).Lines()

@@ -6,6 +6,7 @@ import (
 
 	"hatric/internal/arch"
 	"hatric/internal/cache"
+	"hatric/internal/coherence"
 	"hatric/internal/faults"
 	"hatric/internal/stats"
 	"hatric/internal/tstruct"
@@ -21,7 +22,6 @@ type fakeMachine struct {
 	charged    []arch.Cycles
 	cost       arch.CostModel
 	cpuVM      []int
-	numVMs     int
 	ownerOf    func(arch.SPA) int
 	deschedOf  func(cpu, vm int) arch.Cycles
 	mayCacheOf func(cpu, vm int) bool
@@ -29,7 +29,7 @@ type fakeMachine struct {
 }
 
 func newFakeMachine(cpus int) *fakeMachine {
-	m := &fakeMachine{cost: arch.KVMCostModel(), numVMs: 1}
+	m := &fakeMachine{cost: arch.KVMCostModel()}
 	for i := 0; i < cpus; i++ {
 		m.ts = append(m.ts, tstruct.NewCPUSet(arch.DefaultTLBConfig()))
 		m.cnt = append(m.cnt, &stats.Counters{})
@@ -39,8 +39,6 @@ func newFakeMachine(cpus int) *fakeMachine {
 	return m
 }
 
-func (m *fakeMachine) NumCPUs() int { return len(m.ts) }
-func (m *fakeMachine) NumVMs() int  { return m.numVMs }
 func (m *fakeMachine) VMCPUs(vm int) []int {
 	var out []int
 	for i, v := range m.cpuVM {
@@ -50,7 +48,6 @@ func (m *fakeMachine) VMCPUs(vm int) []int {
 	}
 	return out
 }
-func (m *fakeMachine) VMOf(cpu int) int { return m.cpuVM[cpu] }
 func (m *fakeMachine) VMMayCache(cpu, vm int) bool {
 	if m.mayCacheOf != nil {
 		return m.mayCacheOf(cpu, vm)
@@ -130,13 +127,16 @@ func TestNewByName(t *testing.T) {
 	}
 }
 
+// A protocol is a hardware protocol exactly when it implements
+// coherence.TranslationHook; the simulator installs the relay by that
+// type assertion.
 func TestHooks(t *testing.T) {
 	m := newFakeMachine(1)
-	if h, relay := NewSoftware(m).Hook(); h != nil || relay {
+	if _, ok := Protocol(NewSoftware(m)).(coherence.TranslationHook); ok {
 		t.Errorf("software must not install a relay hook")
 	}
-	for _, p := range []Protocol{NewHATRIC(m, 2), NewUNITDPP(m), NewIdeal(m)} {
-		if h, relay := p.Hook(); h == nil || !relay {
+	for _, p := range []Protocol{NewHATRIC(m, 2), NewHATRICPF(m, 2), NewUNITDPP(m), NewIdeal(m)} {
+		if _, ok := p.(coherence.TranslationHook); !ok {
 			t.Errorf("%s must install a relay hook", p.Name())
 		}
 	}
@@ -148,7 +148,7 @@ func TestSoftwareRemapFlushesEveryone(t *testing.T) {
 	for cpu := 0; cpu < 4; cpu++ {
 		fillAll(m, cpu, 0x100)
 	}
-	init := sw.OnRemap(0, 0, arch.SPA(0x800), 0)
+	init := sw.OnRemap(0, 0)
 	if init == 0 {
 		t.Errorf("initiator paid nothing")
 	}
@@ -179,8 +179,8 @@ func TestSoftwareRemapFlushesEveryone(t *testing.T) {
 func TestSoftwareIPICostScalesWithTargets(t *testing.T) {
 	small := newFakeMachine(2)
 	big := newFakeMachine(16)
-	cSmall := NewSoftware(small).OnRemap(0, 0, 0x800, 0)
-	cBig := NewSoftware(big).OnRemap(0, 0, 0x800, 0)
+	cSmall := NewSoftware(small).OnRemap(0, 0)
+	cBig := NewSoftware(big).OnRemap(0, 0)
 	if cBig <= cSmall {
 		t.Errorf("more vCPUs must cost the initiator more: %d vs %d", cBig, cSmall)
 	}
@@ -199,8 +199,8 @@ func TestSoftwareDeschedStall(t *testing.T) {
 		return m
 	}
 	m := newM()
-	base := NewSoftware(newFakeMachine(4)).OnRemap(0, 0, 0x800, 0)
-	init := NewSoftware(m).OnRemap(0, 0, 0x800, 0)
+	base := NewSoftware(newFakeMachine(4)).OnRemap(0, 0)
+	init := NewSoftware(m).OnRemap(0, 0)
 	if got := init - base; got != 20_000 {
 		t.Errorf("initiator stall = %d, want the slowest target's 20000", got)
 	}
@@ -209,12 +209,12 @@ func TestSoftwareDeschedStall(t *testing.T) {
 	}
 	// HATRIC and ideal charge the initiator nothing regardless of waits.
 	for _, p := range []Protocol{NewHATRIC(newM(), 2), NewIdeal(newM())} {
-		if c := p.OnRemap(0, 0, 0x800, 0); c != 0 {
+		if c := p.OnRemap(0, 0); c != 0 {
 			t.Errorf("%s pays %d for descheduled targets; needs no vCPU at all", p.Name(), c)
 		}
 	}
 	// UNITD's broadcast cost is wait-independent too.
-	if a, b := NewUNITDPP(newM()).OnRemap(0, 0, 0x800, 0), NewUNITDPP(newFakeMachine(4)).OnRemap(0, 0, 0x800, 0); a != b {
+	if a, b := NewUNITDPP(newM()).OnRemap(0, 0), NewUNITDPP(newFakeMachine(4)).OnRemap(0, 0); a != b {
 		t.Errorf("unitd broadcast cost depends on scheduling: %d vs %d", a, b)
 	}
 }
@@ -223,13 +223,12 @@ func TestSoftwareDeschedStall(t *testing.T) {
 // shootdown of one VM flushes only that VM's entries.
 func TestSoftwareFlushIsVPIDScoped(t *testing.T) {
 	m := newFakeMachine(2)
-	m.numVMs = 2
 	// CPU 1 currently runs VM 0 but also holds VM 1's entries (its vCPUs
 	// time-share the CPU).
 	m.ts[1].L1TLB.Fill(1, 77, 77, 0x700, 0)
 	fillAll(m, 0, 0x100)
 	fillAll(m, 1, 0x100)
-	NewSoftware(m).OnRemap(0, 0, 0x800, 0)
+	NewSoftware(m).OnRemap(0, 0)
 	if m.ts[1].L1TLB.ValidCount() != 1 {
 		t.Errorf("VM 1's entry did not survive VM 0's shootdown")
 	}
@@ -244,7 +243,7 @@ func TestHATRICInvalidatesPrecisely(t *testing.T) {
 	pte := arch.SPA(0x1000) // line 0x40
 	fillAll(m, 1, uint64(pte)>>3)
 	m.ts[1].L1TLB.Fill(0, 9, 9, uint64(arch.SPA(0x8000))>>3, uint8(cache.KindNestedPT))
-	dropped, remains := h.OnPTInvalidation(1, pte, cache.KindNestedPT)
+	dropped, remains := h.OnPTInvalidation(1, pte)
 	if dropped != 4 {
 		t.Errorf("dropped %d, want the 4 matching entries", dropped)
 	}
@@ -264,7 +263,7 @@ func TestHATRICAliasingWithNarrowCoTags(t *testing.T) {
 	h1 := NewHATRIC(m, 1) // 8 bits of line index: lines 2 and 258 alias
 	m.ts[0].L1TLB.Fill(0, 1, 1, 2*8, uint8(cache.KindNestedPT))
 	m.ts[0].L1TLB.Fill(0, 2, 2, 258*8, uint8(cache.KindNestedPT))
-	dropped, _ := h1.OnPTInvalidation(0, arch.SPA(2*64), cache.KindNestedPT)
+	dropped, _ := h1.OnPTInvalidation(0, arch.SPA(2*64))
 	if dropped != 2 {
 		t.Errorf("1-byte co-tags should alias: dropped %d, want 2", dropped)
 	}
@@ -273,7 +272,7 @@ func TestHATRICAliasingWithNarrowCoTags(t *testing.T) {
 	h2 := NewHATRIC(m2, 2)
 	m2.ts[0].L1TLB.Fill(0, 1, 1, 2*8, uint8(cache.KindNestedPT))
 	m2.ts[0].L1TLB.Fill(0, 2, 2, 258*8, uint8(cache.KindNestedPT))
-	dropped, _ = h2.OnPTInvalidation(0, arch.SPA(2*64), cache.KindNestedPT)
+	dropped, _ = h2.OnPTInvalidation(0, arch.SPA(2*64))
 	if dropped != 1 {
 		t.Errorf("2-byte co-tags should not alias at distance 256: dropped %d", dropped)
 	}
@@ -282,7 +281,7 @@ func TestHATRICAliasingWithNarrowCoTags(t *testing.T) {
 func TestHATRICRemapFree(t *testing.T) {
 	m := newFakeMachine(4)
 	h := NewHATRIC(m, 2)
-	if c := h.OnRemap(0, 0, 0x800, 0); c != 0 {
+	if c := h.OnRemap(0, 0); c != 0 {
 		t.Errorf("HATRIC remap cost = %d, want 0 (all work rides the store)", c)
 	}
 	for cpu := range m.charged {
@@ -297,7 +296,7 @@ func TestUNITDCoversOnlyTLBs(t *testing.T) {
 	u := NewUNITDPP(m)
 	pte := arch.SPA(0x2000)
 	fillAll(m, 0, uint64(pte)>>3)
-	dropped, remains := u.OnPTInvalidation(0, pte, cache.KindNestedPT)
+	dropped, remains := u.OnPTInvalidation(0, pte)
 	if dropped != 2 {
 		t.Errorf("UNITD dropped %d, want 2 (L1+L2 TLB only)", dropped)
 	}
@@ -318,7 +317,7 @@ func TestUNITDRemapFlushesUncoveredStructures(t *testing.T) {
 	for cpu := 0; cpu < 3; cpu++ {
 		fillAll(m, cpu, 0x500)
 	}
-	init := u.OnRemap(0, 0, 0x800, 0)
+	init := u.OnRemap(0, 0)
 	if init == 0 {
 		t.Errorf("broadcast should cost something")
 	}
@@ -341,14 +340,14 @@ func TestIdealExactInvalidation(t *testing.T) {
 	// Two TLB entries from sibling PTEs in the same line.
 	m.ts[0].L1TLB.Fill(0, 1, 1, 0x200, uint8(cache.KindNestedPT))
 	m.ts[0].L1TLB.Fill(0, 2, 2, 0x201, uint8(cache.KindNestedPT))
-	dropped, remains := i.OnPTInvalidation(0, arch.SPA(0x200<<3), cache.KindNestedPT)
+	dropped, remains := i.OnPTInvalidation(0, arch.SPA(0x200<<3))
 	if dropped != 1 {
 		t.Errorf("ideal dropped %d, want exactly 1", dropped)
 	}
 	if !remains {
 		t.Errorf("sibling survives; sharer bit must too")
 	}
-	if c := i.OnRemap(0, 0, 0x800, 0); c != 0 {
+	if c := i.OnRemap(0, 0); c != 0 {
 		t.Errorf("ideal costs %d", c)
 	}
 }
@@ -357,10 +356,10 @@ func TestCachesPTLine(t *testing.T) {
 	m := newFakeMachine(1)
 	h := NewHATRIC(m, 2)
 	m.ts[0].NTLB.Fill(0, 7, 7, 0x300, uint8(cache.KindNestedPT))
-	if !h.CachesPTLine(0, arch.SPA(0x300<<3), cache.KindNestedPT) {
+	if !h.CachesPTLine(0, arch.SPA(0x300<<3)) {
 		t.Errorf("CachesPTLine missed")
 	}
-	if h.CachesPTLine(0, arch.SPA(0x9000<<3), cache.KindNestedPT) {
+	if h.CachesPTLine(0, arch.SPA(0x9000<<3)) {
 		t.Errorf("CachesPTLine false positive")
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"hatric/internal/arch"
-	"hatric/internal/cache"
+	"hatric/internal/coherence"
 	"hatric/internal/faults"
 )
 
@@ -19,8 +19,8 @@ func TestSoftwareIPIRetryStorm(t *testing.T) {
 	m.inj = faults.NewInjector(faults.Config{
 		IPILossRate: 1, IPITimeoutCycles: timeout, MaxRetries: retries,
 	}, 1)
-	base := NewSoftware(newFakeMachine(4)).OnRemap(0, 0, 0x800, 0)
-	init := NewSoftware(m).OnRemap(0, 0, 0x800, 0)
+	base := NewSoftware(newFakeMachine(4)).OnRemap(0, 0)
+	init := NewSoftware(m).OnRemap(0, 0)
 
 	ic := m.cnt[0]
 	targets := uint64(3) // 4 CPUs, initiator flushes locally
@@ -45,8 +45,8 @@ func TestSoftwareIPIRetryStorm(t *testing.T) {
 func TestSoftwareRetryBounded(t *testing.T) {
 	m := newFakeMachine(4)
 	m.inj = faults.NewInjector(faults.Config{AckLossRate: 1}, 1) // IPI site off
-	base := NewSoftware(newFakeMachine(4)).OnRemap(0, 0, 0x800, 0)
-	init := NewSoftware(m).OnRemap(0, 0, 0x800, 0)
+	base := NewSoftware(newFakeMachine(4)).OnRemap(0, 0)
+	init := NewSoftware(m).OnRemap(0, 0)
 	if init != base {
 		t.Errorf("IPI site at rate 0 changed the cost: %d vs %d", init, base)
 	}
@@ -65,8 +65,7 @@ func TestHATRICAckReissue(t *testing.T) {
 		m.inj = faults.NewInjector(faults.Config{AckLossRate: 1, AckTimeoutCycles: ackTO}, 1)
 		fillAll(m, 1, 0x100)
 		p := mustNew(t, variant, m)
-		hook, _ := p.Hook()
-		hook.OnPTInvalidation(1, arch.SPA(1<<3), cache.KindNestedPT)
+		p.(coherence.TranslationHook).OnPTInvalidation(1, arch.SPA(1<<3))
 		c := m.cnt[1]
 		if c.AcksLost != 1 || c.RelayReissues != 1 {
 			t.Errorf("%s: lost=%d reissues=%d, want 1 each", variant, c.AcksLost, c.RelayReissues)
@@ -83,9 +82,9 @@ func TestHATRICAckReissue(t *testing.T) {
 func TestFaultFreeProtocolsInert(t *testing.T) {
 	m := newFakeMachine(2)
 	fillAll(m, 1, 0x100)
-	NewSoftware(m).OnRemap(0, 0, 0x800, 0)
+	NewSoftware(m).OnRemap(0, 0)
 	h := NewHATRIC(m, 2)
-	h.OnPTInvalidation(1, arch.SPA(1<<3), cache.KindNestedPT)
+	h.OnPTInvalidation(1, arch.SPA(1<<3))
 	for cpu := 0; cpu < 2; cpu++ {
 		c := m.cnt[cpu]
 		if c.IPIsLost+c.ShootdownRetries+c.AcksLost+c.RelayReissues != 0 {

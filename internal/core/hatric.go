@@ -2,7 +2,6 @@ package core
 
 import (
 	"hatric/internal/arch"
-	"hatric/internal/cache"
 	"hatric/internal/coherence"
 	"hatric/internal/faults"
 	"hatric/internal/tstruct"
@@ -16,9 +15,8 @@ import (
 // granularity above bit 6 and keeps only the co-tag's width of address
 // bits, so both the 8-PTE false sharing and co-tag aliasing are modeled.
 type HATRIC struct {
-	m     Machine
-	mask  uint64
-	bytes int
+	m    Machine
+	mask uint64
 	// inj is the machine's fault injector (nil when fault-free). A lost
 	// relay acknowledgment costs the target one reissue round trip —
 	// bounded per relay, which is why hatric stays near ideal under the
@@ -41,7 +39,7 @@ func NewHATRIC(m Machine, cotagBytes int) *HATRIC {
 	}
 	inj := m.FaultInjector()
 	return &HATRIC{
-		m: m, mask: tstruct.CoTagMask(cotagBytes), bytes: cotagBytes,
+		m: m, mask: tstruct.CoTagMask(cotagBytes),
 		inj:     inj,
 		reissue: inj.AckTimeout() + 2*m.Cost().DirHop,
 	}
@@ -50,20 +48,13 @@ func NewHATRIC(m Machine, cotagBytes int) *HATRIC {
 // Name implements Protocol.
 func (h *HATRIC) Name() string { return "hatric" }
 
-// CoTagBytes returns the configured co-tag width.
-func (h *HATRIC) CoTagBytes() int { return h.bytes }
-
-// Hook implements Protocol: HATRIC relays PT invalidations to translation
-// structures.
-func (h *HATRIC) Hook() (coherence.TranslationHook, bool) { return h, true }
-
 // OnRemap implements Protocol. HATRIC needs no hypervisor-side action: the
 // PTE store already did everything. (Precise target identification and
 // lightweight target-side handling are both inherited from the cache
 // coherence protocol.)
 //
 //hatric:hotpath
-func (h *HATRIC) OnRemap(initiator, vm int, pteSPA arch.SPA, now arch.Cycles) arch.Cycles {
+func (h *HATRIC) OnRemap(initiator, vm int) arch.Cycles {
 	return 0
 }
 
@@ -79,7 +70,7 @@ func (h *HATRIC) OnRemap(initiator, vm int, pteSPA arch.SPA, now arch.Cycles) ar
 // co-tag aliasing can never leak invalidations across VM boundaries.
 //
 //hatric:hotpath
-func (h *HATRIC) OnPTInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind) (int, bool) {
+func (h *HATRIC) OnPTInvalidation(cpu int, spa arch.SPA) (int, bool) {
 	owner := h.m.OwnerVM(spa)
 	if relayFiltered(h.m, cpu, owner) {
 		return 0, false
@@ -103,13 +94,13 @@ func (h *HATRIC) OnPTInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind) (i
 
 // OnPTBackInvalidation implements coherence.TranslationHook: a directory
 // eviction is the same co-tag compare as a write invalidation.
-func (h *HATRIC) OnPTBackInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind) int {
-	n, _ := h.OnPTInvalidation(cpu, spa, kind)
+func (h *HATRIC) OnPTBackInvalidation(cpu int, spa arch.SPA) int {
+	n, _ := h.OnPTInvalidation(cpu, spa)
 	return n
 }
 
 // CachesPTLine implements coherence.TranslationHook.
-func (h *HATRIC) CachesPTLine(cpu int, spa arch.SPA, kind cache.IsPTKind) bool {
+func (h *HATRIC) CachesPTLine(cpu int, spa arch.SPA) bool {
 	owner := h.m.OwnerVM(spa)
 	if queryFiltered(h.m, cpu, owner) {
 		return false

@@ -2,7 +2,6 @@ package core
 
 import (
 	"hatric/internal/arch"
-	"hatric/internal/cache"
 	"hatric/internal/coherence"
 	"hatric/internal/tstruct"
 )
@@ -35,15 +34,12 @@ func NewHATRICPF(m Machine, cotagBytes int) *HATRICPF {
 // Name implements Protocol.
 func (h *HATRICPF) Name() string { return "hatric-pf" }
 
-// Hook implements Protocol.
-func (h *HATRICPF) Hook() (coherence.TranslationHook, bool) { return h, true }
-
 // OnPTInvalidation implements coherence.TranslationHook: update exact
 // matches in place, invalidate the rest of the co-tag match set. As in
 // baseline HATRIC, the compare is VM-qualified.
 //
 //hatric:hotpath
-func (h *HATRICPF) OnPTInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind) (int, bool) {
+func (h *HATRICPF) OnPTInvalidation(cpu int, spa arch.SPA) (int, bool) {
 	owner := h.m.OwnerVM(spa)
 	if relayFiltered(h.m, cpu, owner) {
 		return 0, false

@@ -20,7 +20,7 @@ func TestPFUpdatesExactMatches(t *testing.T) {
 	fakePTEs[pte] = pteVal{frame: 222, present: true}
 	defer delete(fakePTEs, pte)
 
-	touched, remains := pf.OnPTInvalidation(0, pte, cache.KindNestedPT)
+	touched, remains := pf.OnPTInvalidation(0, pte)
 	if touched != 2 {
 		t.Fatalf("touched %d entries, want 2", touched)
 	}
@@ -53,7 +53,7 @@ func TestPFInvalidatesFalseSharing(t *testing.T) {
 	fakePTEs[pte] = pteVal{frame: 222, present: true}
 	defer delete(fakePTEs, pte)
 
-	pf.OnPTInvalidation(0, pte, cache.KindNestedPT)
+	pf.OnPTInvalidation(0, pte)
 	if _, ok := m.ts[0].L1TLB.Lookup(0, 1); !ok {
 		t.Errorf("exact match should have been updated, not dropped")
 	}
@@ -71,7 +71,7 @@ func TestPFInvalidatesOnUnmap(t *testing.T) {
 	fakePTEs[pte] = pteVal{frame: 50, present: false}
 	defer delete(fakePTEs, pte)
 
-	touched, _ := pf.OnPTInvalidation(0, pte, cache.KindNestedPT)
+	touched, _ := pf.OnPTInvalidation(0, pte)
 	if touched != 1 {
 		t.Fatalf("touched %d", touched)
 	}

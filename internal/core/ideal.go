@@ -2,7 +2,6 @@ package core
 
 import (
 	"hatric/internal/arch"
-	"hatric/internal/cache"
 	"hatric/internal/coherence"
 )
 
@@ -24,12 +23,9 @@ func NewIdeal(m Machine) *Ideal { return &Ideal{m: m} }
 // Name implements Protocol.
 func (i *Ideal) Name() string { return "ideal" }
 
-// Hook implements Protocol: exact invalidations ride the relay for
-// correctness, at zero modeled cost.
-func (i *Ideal) Hook() (coherence.TranslationHook, bool) { return i, true }
-
-// OnRemap implements Protocol: free.
-func (i *Ideal) OnRemap(initiator, vm int, pteSPA arch.SPA, now arch.Cycles) arch.Cycles { return 0 }
+// OnRemap implements Protocol: free. Exact invalidations ride the relay
+// for correctness, at zero modeled cost.
+func (i *Ideal) OnRemap(initiator, vm int) arch.Cycles { return 0 }
 
 // OnPTInvalidation implements coherence.TranslationHook with exact-PTE
 // granularity (shift 0, full mask): no false sharing, no aliasing. The
@@ -37,7 +33,7 @@ func (i *Ideal) OnRemap(initiator, vm int, pteSPA arch.SPA, now arch.Cycles) arc
 // protocol by the energy model (it is a modeling fiction, not hardware).
 // Entries from sibling PTEs in the same line survive, so the CPU stays on
 // the sharer list whenever any remain.
-func (i *Ideal) OnPTInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind) (int, bool) {
+func (i *Ideal) OnPTInvalidation(cpu int, spa arch.SPA) (int, bool) {
 	owner := i.m.OwnerVM(spa)
 	if relayFiltered(i.m, cpu, owner) {
 		return 0, false
@@ -52,7 +48,7 @@ func (i *Ideal) OnPTInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind) (in
 // OnPTBackInvalidation implements coherence.TranslationHook: when a line
 // loses its directory entry, everything derived from it must go — even the
 // ideal protocol cannot keep exact tracking without a directory entry.
-func (i *Ideal) OnPTBackInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind) int {
+func (i *Ideal) OnPTBackInvalidation(cpu int, spa arch.SPA) int {
 	owner := i.m.OwnerVM(spa)
 	if relayFiltered(i.m, cpu, owner) {
 		return 0
@@ -62,7 +58,7 @@ func (i *Ideal) OnPTBackInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind)
 
 // CachesPTLine implements coherence.TranslationHook (line-granular: does
 // anything sourced from this line remain?).
-func (i *Ideal) CachesPTLine(cpu int, spa arch.SPA, kind cache.IsPTKind) bool {
+func (i *Ideal) CachesPTLine(cpu int, spa arch.SPA) bool {
 	owner := i.m.OwnerVM(spa)
 	if queryFiltered(i.m, cpu, owner) {
 		return false

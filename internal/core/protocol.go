@@ -20,23 +20,18 @@ import (
 	"fmt"
 
 	"hatric/internal/arch"
-	"hatric/internal/coherence"
 	"hatric/internal/faults"
 	"hatric/internal/stats"
 	"hatric/internal/tstruct"
 )
 
 // Machine is the view of the simulated system the protocols need. The
-// simulator's System implements it. The machine runs N virtual machines
-// (identified by dense IDs 0..NumVMs-1) against the shared memory system;
+// simulator's System implements it. The machine runs virtual machines
+// (identified by dense IDs from 0) against the shared memory system;
 // translation coherence is always scoped to the VM owning the modified
 // page-table entry — a remap in one VM must never invalidate or flush
 // another VM's translation structures.
 type Machine interface {
-	// NumCPUs returns the number of physical CPUs.
-	NumCPUs() int
-	// NumVMs returns the number of virtual machines sharing the machine.
-	NumVMs() int
 	// VMCPUs returns the physical CPUs that run any vCPU of VM vm.
 	// Software coherence targets all of them on a remap of that VM's
 	// pages (imprecise target identification, Sec. 3.2). On a pinned
@@ -46,19 +41,12 @@ type Machine interface {
 	// VPID-scoped flushes, not CPU-set disjointness, are what keep a
 	// remap from touching another VM's translations.
 	VMCPUs(vm int) []int
-	// VMOf returns the VM whose vCPU cpu currently runs, or -1 when the
-	// CPU is idle. On a pinned machine this is static; on a time-sliced
-	// machine it changes with every cross-VM context switch. Translation
-	// structures are VM-qualified (VPID/ASID style): each entry carries
-	// the tag of the VM it belongs to, which need not be the current one
-	// when vCPUs of several VMs time-share the CPU.
-	VMOf(cpu int) int
 	// VMMayCache reports whether cpu's translation structures may hold
 	// entries of VM vm — i.e. whether any of vm's vCPUs runs on cpu. A
-	// pinned machine answers vm == VMOf(cpu); a time-sliced machine
-	// answers from its vCPU assignment. Hardware protocols use it to
-	// filter relays before any compare; software coherence implicitly
-	// encodes it in VMCPUs.
+	// pinned machine answers whether vm is the VM the CPU runs; a
+	// time-sliced machine answers from its vCPU assignment. Hardware
+	// protocols use it to filter relays before any compare; software
+	// coherence implicitly encodes it in VMCPUs.
 	VMMayCache(cpu, vm int) bool
 	// DeschedWait returns how long a software-shootdown initiator must
 	// wait for cpu to next run a vCPU of vm and acknowledge the IPI: zero
@@ -92,20 +80,20 @@ type Machine interface {
 	FaultInjector() *faults.Injector
 }
 
-// Protocol is a translation-coherence mechanism.
+// Protocol is a translation-coherence mechanism. A hardware protocol also
+// implements coherence.TranslationHook: the simulator installs it in the
+// cache hierarchy, which then relays every page-table-line invalidation to
+// it. A protocol that does not (the software baseline) leaves translation
+// structures out of cache coherence and flushes them in OnRemap instead.
 type Protocol interface {
 	// Name identifies the protocol in reports ("sw", "hatric", ...).
 	Name() string
-	// Hook returns the hierarchy-side invalidation relay and whether
-	// page-table invalidations should be relayed to translation
-	// structures at all.
-	Hook() (coherence.TranslationHook, bool)
-	// OnRemap runs after the hypervisor's coherent store to the nested
-	// PTE at pteSPA, on the initiating CPU, and returns the extra cycles
-	// charged to the initiator (IPI loops, acknowledgment waits). vm is
-	// the VM owning the remapped page; software-visible costs (IPIs, VM
-	// exits, flushes) land only on that VM's CPUs.
-	OnRemap(initiator, vm int, pteSPA arch.SPA, now arch.Cycles) arch.Cycles
+	// OnRemap runs after the hypervisor's coherent store to a nested PTE,
+	// on the initiating CPU, and returns the extra cycles charged to the
+	// initiator (IPI loops, acknowledgment waits). vm is the VM owning
+	// the remapped page; software-visible costs (IPIs, VM exits, flushes)
+	// land only on that VM's CPUs.
+	OnRemap(initiator, vm int) arch.Cycles
 }
 
 // ownerTag converts an OwnerVM result into the VM tag the structures
@@ -121,9 +109,9 @@ func ownerTag(owner int) int {
 // queryFiltered reports whether a relay or sharer query for a page-table
 // line owned by VM owner is dropped at cpu before any compare: the CPU
 // cannot hold any of owner's entries because none of owner's vCPUs runs
-// there. On a pinned machine this is the classic VPID check (owner !=
-// VMOf(cpu)); on a time-sliced machine a CPU legitimately caches entries
-// of every VM scheduled onto it, so the filter consults the vCPU
+// there. On a pinned machine this is the classic VPID check (owner is not
+// the VM the CPU runs); on a time-sliced machine a CPU legitimately caches
+// entries of every VM scheduled onto it, so the filter consults the vCPU
 // assignment instead — and the per-entry VM tags do the precise
 // qualification inside the structures.
 func queryFiltered(m Machine, cpu, owner int) bool {

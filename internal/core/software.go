@@ -2,8 +2,6 @@ package core
 
 import (
 	"hatric/internal/arch"
-	"hatric/internal/cache"
-	"hatric/internal/coherence"
 	"hatric/internal/faults"
 )
 
@@ -38,10 +36,6 @@ func NewSoftware(m Machine) *Software {
 // Name implements Protocol.
 func (s *Software) Name() string { return "sw" }
 
-// Hook implements Protocol: no hardware relay; translation structures keep
-// stale entries until the hypervisor flushes them.
-func (s *Software) Hook() (coherence.TranslationHook, bool) { return nil, false }
-
 // OnRemap implements Protocol: the IPI broadcast and flush sequence,
 // scoped to the owning VM's CPUs. The flush is VPID-scoped (FlushVMAll):
 // on a pinned machine the targets hold nothing but the VM's entries, so
@@ -49,7 +43,7 @@ func (s *Software) Hook() (coherence.TranslationHook, bool) { return nil, false 
 // VMs' resident entries survive, as invept single-context leaves them.
 //
 //hatric:hotpath
-func (s *Software) OnRemap(initiator, vm int, pteSPA arch.SPA, now arch.Cycles) arch.Cycles {
+func (s *Software) OnRemap(initiator, vm int) arch.Cycles {
 	cost := s.m.Cost()
 	ic := s.m.Counters(initiator)
 	var init, maxWait arch.Cycles
@@ -119,14 +113,3 @@ func (s *Software) OnRemap(initiator, vm int, pteSPA arch.SPA, now arch.Cycles) 
 	}
 	return init
 }
-
-// OnPTInvalidation should never be called (no hook is installed).
-func (s *Software) OnPTInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind) (int, bool) {
-	return 0, false
-}
-
-// OnPTBackInvalidation should never be called (no hook is installed).
-func (s *Software) OnPTBackInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind) int { return 0 }
-
-// CachesPTLine reports false; the software baseline never asks.
-func (s *Software) CachesPTLine(cpu int, spa arch.SPA, kind cache.IsPTKind) bool { return false }

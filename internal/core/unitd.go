@@ -2,7 +2,6 @@ package core
 
 import (
 	"hatric/internal/arch"
-	"hatric/internal/cache"
 	"hatric/internal/coherence"
 )
 
@@ -30,9 +29,6 @@ func NewUNITDPP(m Machine) *UNITDPP { return &UNITDPP{m: m} }
 // Name implements Protocol.
 func (u *UNITDPP) Name() string { return "unitd" }
 
-// Hook implements Protocol: TLB invalidations ride the coherence relay.
-func (u *UNITDPP) Hook() (coherence.TranslationHook, bool) { return u, true }
-
 // OnRemap implements Protocol: the hardware broadcast flush of the
 // uncovered structures (MMU caches and nTLBs). The broadcast carries the
 // owning VM's tag, so only that VM's CPUs flush — and on a CPU
@@ -41,7 +37,7 @@ func (u *UNITDPP) Hook() (coherence.TranslationHook, bool) { return u, true }
 // descheduled vCPUs cost it nothing.
 //
 //hatric:hotpath
-func (u *UNITDPP) OnRemap(initiator, vm int, pteSPA arch.SPA, now arch.Cycles) arch.Cycles {
+func (u *UNITDPP) OnRemap(initiator, vm int) arch.Cycles {
 	cost := u.m.Cost()
 	for _, t := range u.m.VMCPUs(vm) {
 		tc := u.m.Counters(t)
@@ -66,7 +62,7 @@ func (u *UNITDPP) OnRemap(initiator, vm int, pteSPA arch.SPA, now arch.Cycles) a
 // CAM is VM-qualified: relays for another VM's page tables are ignored.
 //
 //hatric:hotpath
-func (u *UNITDPP) OnPTInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind) (int, bool) {
+func (u *UNITDPP) OnPTInvalidation(cpu int, spa arch.SPA) (int, bool) {
 	owner := u.m.OwnerVM(spa)
 	if relayFiltered(u.m, cpu, owner) {
 		return 0, false
@@ -88,13 +84,13 @@ func (u *UNITDPP) OnPTInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind) (
 // the line's TLB entries. MMU-cache and nTLB entries are not coherence
 // participants under UNITD; they stay correct because every remap flushes
 // them wholesale in OnRemap.
-func (u *UNITDPP) OnPTBackInvalidation(cpu int, spa arch.SPA, kind cache.IsPTKind) int {
-	n, _ := u.OnPTInvalidation(cpu, spa, kind)
+func (u *UNITDPP) OnPTBackInvalidation(cpu int, spa arch.SPA) int {
+	n, _ := u.OnPTInvalidation(cpu, spa)
 	return n
 }
 
 // CachesPTLine implements coherence.TranslationHook.
-func (u *UNITDPP) CachesPTLine(cpu int, spa arch.SPA, kind cache.IsPTKind) bool {
+func (u *UNITDPP) CachesPTLine(cpu int, spa arch.SPA) bool {
 	owner := u.m.OwnerVM(spa)
 	if queryFiltered(u.m, cpu, owner) {
 		return false

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"hatric/internal/arch"
-	"hatric/internal/cache"
+	"hatric/internal/coherence"
 	"hatric/internal/stats"
 )
 
@@ -15,7 +15,6 @@ const vmBoundary = arch.SPA(0x10000)
 
 func twoVMMachine() *fakeMachine {
 	m := newFakeMachine(4)
-	m.numVMs = 2
 	m.cpuVM = []int{0, 0, 1, 1}
 	m.ownerOf = func(spa arch.SPA) int {
 		if spa < vmBoundary {
@@ -69,13 +68,12 @@ func assertUntouched(t *testing.T, m *fakeMachine, cpu int, before cpuSnap, prot
 // translation structures, stall clocks, and event counters of VM 1's CPUs
 // untouched.
 func TestRemapNeverCrossesVMs(t *testing.T) {
-	pte := arch.SPA(0x800) // owned by VM 0
 	for _, name := range []string{"sw", "hatric", "hatric-pf", "unitd", "ideal"} {
 		m := twoVMMachine()
 		p := mustNew(t, name, m)
 		before := []cpuSnap{snap(m, 0), snap(m, 1), snap(m, 2), snap(m, 3)}
 
-		p.OnRemap(0, 0, pte, 0)
+		p.OnRemap(0, 0)
 		for cpu := 2; cpu <= 3; cpu++ {
 			assertUntouched(t, m, cpu, before[cpu], name)
 		}
@@ -102,8 +100,8 @@ func TestRelayFilteredAcrossVMs(t *testing.T) {
 	for _, name := range []string{"hatric", "hatric-pf", "unitd", "ideal"} {
 		m := twoVMMachine()
 		p := mustNew(t, name, m)
-		hook, relay := p.Hook()
-		if hook == nil || !relay {
+		hook, ok := p.(coherence.TranslationHook)
+		if !ok {
 			t.Fatalf("%s: no relay hook", name)
 		}
 		// Refill CPU 2 with entries whose co-tags match the written line
@@ -111,13 +109,13 @@ func TestRelayFilteredAcrossVMs(t *testing.T) {
 		fillAll(m, 2, uint64(pte)>>3)
 		before := snap(m, 2)
 
-		if dropped, _ := hook.OnPTInvalidation(2, pte, cache.KindNestedPT); dropped != 0 {
+		if dropped, _ := hook.OnPTInvalidation(2, pte); dropped != 0 {
 			t.Errorf("%s: relay dropped %d entries of another VM", name, dropped)
 		}
-		if n := hook.OnPTBackInvalidation(2, pte, cache.KindNestedPT); n != 0 {
+		if n := hook.OnPTBackInvalidation(2, pte); n != 0 {
 			t.Errorf("%s: back-invalidation dropped %d entries of another VM", name, n)
 		}
-		if hook.CachesPTLine(2, pte, cache.KindNestedPT) {
+		if hook.CachesPTLine(2, pte) {
 			t.Errorf("%s: CachesPTLine claims another VM's line", name)
 		}
 		if got := m.ts[2].ValidTotal(); got != before.valid {
@@ -128,7 +126,7 @@ func TestRelayFilteredAcrossVMs(t *testing.T) {
 		}
 		// The same relay at the owning VM's CPU does invalidate.
 		fillAll(m, 1, uint64(pte)>>3)
-		if dropped, _ := hook.OnPTInvalidation(1, pte, cache.KindNestedPT); dropped == 0 {
+		if dropped, _ := hook.OnPTInvalidation(1, pte); dropped == 0 {
 			t.Errorf("%s: relay at owning VM dropped nothing", name)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hatric/internal/arch"
-	"hatric/internal/cache"
 )
 
 // CompactionConfig tunes the THP-style compaction daemon: a background
@@ -49,17 +48,6 @@ func (h *Hypervisor) EnableCompaction(cfg CompactionConfig) error {
 	}
 	h.compact = &compactState{cfg: cfg}
 	return nil
-}
-
-// CompactionEnabled reports whether the compaction daemon is on.
-func (h *Hypervisor) CompactionEnabled() bool { return h.compact != nil }
-
-// CompactionEvery exposes the configured period (0 when disabled).
-func (h *Hypervisor) CompactionEvery() uint64 {
-	if h.compact == nil {
-		return 0
-	}
-	return h.compact.cfg.Every
 }
 
 // CompactionMoves returns the total pages the daemon has relocated.
@@ -120,14 +108,9 @@ func (h *Hypervisor) Compact(cpu int, now arch.Cycles) arch.Cycles {
 			continue
 		}
 		h.mem.FreeFrame(oldSPP)
-		c.PTEWrites++
 		c.CompactionMoves++
 		k.moves++
-		lat += copyLat + h.cost.PTEWrite + h.hier.Write(cpu, pteSPA, cache.KindNestedPT, now+lat)
-		tcLat := h.protocol.OnRemap(cpu, vm.ID, pteSPA, now+lat)
-		c.RemapsInitiated++
-		c.ShootdownCycles += uint64(tcLat)
-		lat += tcLat
+		lat += copyLat + h.remap(cpu, vm.ID, pteSPA, now+lat)
 		moved++
 	}
 	return lat

@@ -34,11 +34,8 @@ func newMachineStub(cpus int) *machineStub {
 	return m
 }
 
-func (m *machineStub) NumCPUs() int                        { return len(m.ts) }
-func (m *machineStub) NumVMs() int                         { return 1 }
 func (m *machineStub) VMCPUs(vm int) []int                 { return m.cpus }
-func (m *machineStub) VMOf(cpu int) int                    { return 0 }
-func (m *machineStub) VMMayCache(cpu, vm int) bool         { return vm == m.VMOf(cpu) }
+func (m *machineStub) VMMayCache(cpu, vm int) bool         { return vm == 0 }
 func (m *machineStub) DeschedWait(cpu, vm int) arch.Cycles { return 0 }
 func (m *machineStub) OwnerVM(arch.SPA) int                { return 0 }
 func (m *machineStub) TS(cpu int) *tstruct.CPUSet          { return m.ts[cpu] }

@@ -128,9 +128,6 @@ func (h *Hypervisor) VMs() []*VM { return h.vms }
 // Policy returns VM vm's active eviction policy.
 func (h *Hypervisor) Policy(vm int) Policy { return h.policies[vm] }
 
-// Protocol returns the translation-coherence protocol in use.
-func (h *Hypervisor) Protocol() core.Protocol { return h.protocol }
-
 // HandleFault services a nested page fault on (cpu, gpp) of VM vm: the VM
 // exit, the page-fault handler, frame reclamation if needed, the page
 // copy, and the nested page-table update. It returns the cycles the
@@ -216,10 +213,8 @@ func (h *Hypervisor) migrateIn(cpu, vm int, gpp arch.GPP, now arch.Cycles, criti
 	if err != nil {
 		return 0, err
 	}
-	c := h.machine.Counters(cpu)
-	c.PTEWrites++
-	c.PageMigrations++
-	wLat := h.cost.PTEWrite + h.hier.Write(cpu, pteSPA, cache.KindNestedPT, now)
+	h.machine.Counters(cpu).PageMigrations++
+	wLat := h.storePTE(cpu, pteSPA, now)
 	h.policies[vm].NoteResident(gpp)
 	h.qos.resident[vm]++
 	// A page faulted in during a live migration of this VM became resident
@@ -235,6 +230,32 @@ func (h *Hypervisor) migrateIn(cpu, vm int, gpp arch.GPP, now arch.Cycles, criti
 		return 0, nil
 	}
 	return copyLat + wLat, nil
+}
+
+// storePTE makes the hypervisor's coherent store to the nested PTE at
+// pteSPA on cpu and returns its cycles. The store is an ordinary cache
+// coherence write: under a hardware protocol its invalidations reach the
+// co-tagged translation structures, which is the whole of HATRIC's
+// translation coherence. A not-present-to-present fault-in needs nothing
+// more; every other remap goes through remap.
+func (h *Hypervisor) storePTE(cpu int, pteSPA arch.SPA, now arch.Cycles) arch.Cycles {
+	h.machine.Counters(cpu).PTEWrites++
+	return h.cost.PTEWrite + h.hier.Write(cpu, pteSPA, cache.KindNestedPT, now)
+}
+
+// remap stores the nested PTE at pteSPA of a page of VM vm whose old
+// mapping was present, then initiates translation coherence for it:
+// stale translations may be cached anywhere, so the protocol runs against
+// vm's CPUs. It returns the initiator's cycles, the store's plus the
+// shootdown's. Every eviction (balloons included), defrag, KSM merge and
+// break, compaction move and live-migration copy remaps through here.
+func (h *Hypervisor) remap(cpu, vm int, pteSPA arch.SPA, now arch.Cycles) arch.Cycles {
+	lat := h.storePTE(cpu, pteSPA, now)
+	tcLat := h.protocol.OnRemap(cpu, vm)
+	c := h.machine.Counters(cpu)
+	c.RemapsInitiated++
+	c.ShootdownCycles += uint64(tcLat)
+	return lat + tcLat
 }
 
 // evictOne unmaps one die-stacked-resident page and migrates it back to
@@ -289,7 +310,6 @@ func (h *Hypervisor) evictFrom(cpu, vmIdx, reqVM int, now arch.Cycles, critical 
 	}
 	h.mem.FreeFrame(oldSPP)
 	c := h.machine.Counters(cpu)
-	c.PTEWrites++
 	c.PageEvictions++
 	var charge evictCharge
 	h.noteEvicted(vmIdx, reqVM, &charge)
@@ -299,14 +319,11 @@ func (h *Hypervisor) evictFrom(cpu, vmIdx, reqVM int, now arch.Cycles, critical 
 	if charge.frozen {
 		c.FrozenVMSteals++
 	}
-	wLat := h.cost.PTEWrite + h.hier.Write(cpu, pteSPA, cache.KindNestedPT, now)
-	tcLat := h.protocol.OnRemap(cpu, vm.ID, pteSPA, now)
-	c.RemapsInitiated++
-	c.ShootdownCycles += uint64(tcLat)
+	rLat := h.remap(cpu, vm.ID, pteSPA, now)
 	if !critical {
 		return victim, 0, nil
 	}
-	return victim, copyLat + wLat + tcLat, nil
+	return victim, copyLat + rLat, nil
 }
 
 // Defrag relocates one live die-stacked page of VM vm to another
@@ -339,14 +356,8 @@ func (h *Hypervisor) Defrag(cpu, vm int, now arch.Cycles) arch.Cycles {
 		return 0
 	}
 	h.mem.FreeFrame(oldSPP)
-	c := h.machine.Counters(cpu)
-	c.PTEWrites++
-	c.DefragRemaps++
-	wLat := h.cost.PTEWrite + h.hier.Write(cpu, pteSPA, cache.KindNestedPT, now)
-	tcLat := h.protocol.OnRemap(cpu, h.vms[vm].ID, pteSPA, now)
-	c.RemapsInitiated++
-	c.ShootdownCycles += uint64(tcLat)
-	return copyLat + wLat + tcLat
+	h.machine.Counters(cpu).DefragRemaps++
+	return copyLat + h.remap(cpu, h.vms[vm].ID, pteSPA, now)
 }
 
 // DefragEvery exposes VM vm's configured defragmentation period.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hatric/internal/arch"
-	"hatric/internal/cache"
 	"hatric/internal/xrand"
 )
 
@@ -176,14 +175,6 @@ func (h *Hypervisor) EnableKSM(cfg KSMConfig) error {
 // KSMEnabled reports whether the dedup scanner is on.
 func (h *Hypervisor) KSMEnabled() bool { return h.ksm != nil }
 
-// KSMScanEvery exposes the configured scan period (0 when disabled).
-func (h *Hypervisor) KSMScanEvery() uint64 {
-	if h.ksm == nil {
-		return 0
-	}
-	return h.ksm.cfg.ScanEvery
-}
-
 // KSMReport returns the scanner's activity summary.
 func (h *Hypervisor) KSMReport() KSMReport {
 	k := h.ksm
@@ -280,13 +271,8 @@ func (h *Hypervisor) KSMScan(cpu int, now arch.Cycles) arch.Cycles {
 		h.policies[vmIdx].Forget(gpp)
 		h.qos.resident[vmIdx]--
 		k.merges++
-		c.PTEWrites++
 		c.KSMMerges++
-		lat += h.cost.PTEWrite + h.hier.Write(cpu, pteSPA, cache.KindNestedPT, now+lat)
-		tcLat := h.protocol.OnRemap(cpu, vm.ID, pteSPA, now+lat)
-		c.RemapsInitiated++
-		c.ShootdownCycles += uint64(tcLat)
-		lat += tcLat
+		lat += h.remap(cpu, vm.ID, pteSPA, now+lat)
 	}
 	return lat
 }
@@ -331,13 +317,8 @@ func (h *Hypervisor) KSMWriteBreak(cpu, vmIdx int, gpp arch.GPP, now arch.Cycles
 		h.mem.FreeFrame(frame)
 		return lat, false
 	}
-	c.PTEWrites++
 	c.KSMBreaks++
-	lat += h.cost.PTEWrite + h.hier.Write(cpu, pteSPA, cache.KindNestedPT, now+lat)
-	tcLat := h.protocol.OnRemap(cpu, vm.ID, pteSPA, now+lat)
-	c.RemapsInitiated++
-	c.ShootdownCycles += uint64(tcLat)
-	lat += tcLat
+	lat += h.remap(cpu, vm.ID, pteSPA, now+lat)
 	k.shared[vmIdx].remove(gpp)
 	h.policies[vmIdx].NoteResident(gpp)
 	h.qos.resident[vmIdx]++

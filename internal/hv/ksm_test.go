@@ -85,7 +85,7 @@ func checkKSMInvariants(t *testing.T, r *multiRig) {
 func checkNoStaleEntries(t *testing.T, r *multiRig, protocol string) {
 	t.Helper()
 	for cpu := range r.machine.ts {
-		vm := r.machine.VMOf(cpu)
+		vm := r.machine.cpuVM[cpu]
 		r.machine.ts[cpu].NTLB.ForEachValid(func(e tstruct.Entry) {
 			want, present, ok := r.vms[vm].Nested.Translate(arch.GPP(e.Key))
 			if !ok || !present || uint64(want) != e.Val {

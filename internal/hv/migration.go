@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hatric/internal/arch"
-	"hatric/internal/cache"
 	"hatric/internal/memdev"
 )
 
@@ -23,7 +22,8 @@ type MigrationSpec struct {
 	// Dest is the destination tier. Migrating to TierDRAM models host
 	// evacuation of the die-stacked tier (or, with a link, moving the VM's
 	// memory to a remote host whose DRAM backs it); TierHBM promotes a
-	// DRAM-resident VM into die-stacked memory.
+	// DRAM-resident VM into die-stacked memory. There is no default: the
+	// zero MemTier names no tier, so a spec without Dest is rejected.
 	Dest arch.MemTier
 	// LinkBytesPerCycle, when positive, routes every page copy over a
 	// simulated inter-host link with this bandwidth and an unloaded
@@ -251,7 +251,7 @@ func (h *Hypervisor) ScheduleMigration(spec MigrationSpec) (*Migration, error) {
 		return nil, fmt.Errorf("hv: migration of unknown VM %d", spec.VM)
 	}
 	if spec.Dest != arch.TierHBM && spec.Dest != arch.TierDRAM {
-		return nil, fmt.Errorf("hv: migration to unknown tier %v", spec.Dest)
+		return nil, fmt.Errorf("hv: migration of VM %d: Dest must name a tier, hbm or dram (got %d)", spec.VM, int(spec.Dest))
 	}
 	if len(h.vms[spec.VM].CPUs) == 0 {
 		return nil, fmt.Errorf("hv: VM %d has no CPUs to drive a migration", spec.VM)
@@ -543,14 +543,14 @@ func (h *Hypervisor) finishRound(m *Migration, now arch.Cycles, lat *arch.Cycles
 }
 
 // migratePage remaps one page of the migrating VM to the destination tier
-// via the same coherent-PTE-store + Protocol.OnRemap path every other remap
-// uses. moved is false when the page no longer needs a transfer (evicted,
-// or already at the destination since it was queued). force re-copies a
-// page even if it already sits in the destination tier: a re-dirtied page's
-// earlier transfer raced a guest write, so the engine discards the stale
-// copy, transfers again into a fresh frame, and flips the translation again
-// — which is what keeps the remap burst (and its coherence storm) honest in
-// every round, not just the first.
+// through remap, like every other remap. moved is false when the page no
+// longer needs a transfer (evicted, or already at the destination since
+// it was queued). force re-copies a page even if it already sits in the
+// destination tier: a re-dirtied page's earlier transfer raced a guest
+// write, so the engine discards the stale copy, transfers again into a
+// fresh frame, and flips the translation again — which is what keeps the
+// remap burst (and its coherence storm) honest in every round, not just
+// the first.
 func (h *Hypervisor) migratePage(m *Migration, gpp arch.GPP, now arch.Cycles, force bool) (arch.Cycles, bool, error) {
 	vm := h.vms[m.spec.VM]
 	oldSPP, present, ok := vm.Nested.Translate(gpp)
@@ -594,17 +594,11 @@ func (h *Hypervisor) migratePage(m *Migration, gpp arch.GPP, now arch.Cycles, fo
 	if err != nil {
 		return lat, false, err
 	}
-	c := h.machine.Counters(m.driver)
-	c.PTEWrites++
-	c.MigrationPagesCopied++
-	lat += h.cost.PTEWrite + h.hier.Write(m.driver, pteSPA, cache.KindNestedPT, now+lat)
 	// The remap of a present page: stale translations may be cached
 	// anywhere on the chip, so translation coherence runs — the storm the
 	// experiment measures.
-	tcLat := h.protocol.OnRemap(m.driver, vm.ID, pteSPA, now+lat)
-	c.RemapsInitiated++
-	c.ShootdownCycles += uint64(tcLat)
-	lat += tcLat
+	h.machine.Counters(m.driver).MigrationPagesCopied++
+	lat += h.remap(m.driver, vm.ID, pteSPA, now+lat)
 	// Policy bookkeeping and share accounting follow the tier transition
 	// (a forced re-copy within the destination tier changes nothing). A
 	// page unshared by the move was never in the VM's private residency,

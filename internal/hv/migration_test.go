@@ -87,7 +87,7 @@ func TestMigrationBurstProperty(t *testing.T) {
 			}
 			// (2) No stale pre-migration entry anywhere.
 			for cpu := 0; cpu < 4; cpu++ {
-				vm := r.machine.VMOf(cpu)
+				vm := r.machine.cpuVM[cpu]
 				r.machine.ts[cpu].NTLB.ForEachValid(func(e tstruct.Entry) {
 					want, present, ok := r.vms[vm].Nested.Translate(arch.GPP(e.Key))
 					if !ok || !present || uint64(want) != e.Val {

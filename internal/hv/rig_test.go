@@ -23,9 +23,7 @@ type multiVMStub struct {
 	vms   []*VM
 }
 
-func (m *multiVMStub) NumVMs() int                 { return len(m.vms) }
 func (m *multiVMStub) VMCPUs(vm int) []int         { return m.vms[vm].CPUs }
-func (m *multiVMStub) VMOf(cpu int) int            { return m.cpuVM[cpu] }
 func (m *multiVMStub) VMMayCache(cpu, vm int) bool { return vm == m.cpuVM[cpu] }
 func (m *multiVMStub) OwnerVM(spa arch.SPA) int {
 	spp := spa.Page()
@@ -90,8 +88,9 @@ func newMultiRig(t *testing.T, protocol string, paging PagingConfig, cfgs []VMCo
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook, relay := proto.Hook()
-	hier.SetTranslationHook(hook, relay)
+	if hook, ok := proto.(coherence.TranslationHook); ok {
+		hier.SetTranslationHook(hook)
+	}
 	hyp, err := New(paging, cfgs, cfg.Cost, mem, hier, machine, proto, machine.vms, 1)
 	if err != nil {
 		t.Fatal(err)

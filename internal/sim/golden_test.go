@@ -86,6 +86,27 @@ func goldenFingerprint(res *Result) uint64 {
 	return h.Sum64()
 }
 
+// checkRemapAccounting asserts the hypervisor's one-path accounting:
+// every remap source (eviction, balloons included; defrag; KSM merge and
+// break; compaction; live-migration copy) initiates exactly one remap,
+// and every nested-PTE store is either such a remap or a fault-in. A
+// remap site that bypassed the shared store-and-shootdown path would
+// break one of the two sums.
+func checkRemapAccounting(t *testing.T, a stats.Counters) {
+	t.Helper()
+	sources := a.PageEvictions + a.DefragRemaps + a.KSMMerges + a.KSMBreaks +
+		a.CompactionMoves + a.MigrationPagesCopied
+	if a.RemapsInitiated != sources {
+		t.Errorf("RemapsInitiated = %d, want %d: evictions %d + defrag %d + KSM merges %d + KSM breaks %d + compaction %d + migration copies %d",
+			a.RemapsInitiated, sources, a.PageEvictions, a.DefragRemaps, a.KSMMerges,
+			a.KSMBreaks, a.CompactionMoves, a.MigrationPagesCopied)
+	}
+	if want := a.RemapsInitiated + a.PageMigrations; a.PTEWrites != want {
+		t.Errorf("PTEWrites = %d, want remaps %d + fault-ins %d = %d",
+			a.PTEWrites, a.RemapsInitiated, a.PageMigrations, want)
+	}
+}
+
 // TestFingerprintCoversEveryField: every Counters field reaches the
 // fingerprint under its own name, and a zero field adds nothing.
 func TestFingerprintCoversEveryField(t *testing.T) {
@@ -341,6 +362,7 @@ func TestGoldenCounters(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				checkRemapAccounting(t, res.Agg)
 				got := goldenFingerprint(res)
 				if update {
 					lines = append(lines, fmt.Sprintf("\t%q: %#016x,", key, got))

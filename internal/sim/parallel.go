@@ -169,11 +169,6 @@ func (s *System) parInit() {
 	for i := range s.hpos {
 		s.hpos[i] = -1
 	}
-	// The walkers must not touch the shared page tables mid-epoch; the
-	// barrier's accessed-bit log covers every walked data page.
-	for _, w := range s.walkers {
-		w.DeferAccessed = true
-	}
 	s.par = p
 	for w := 0; w < p.workers; w++ {
 		p.start[w] = make(chan arch.Cycles, 1)

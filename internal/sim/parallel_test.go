@@ -173,6 +173,71 @@ func TestParallelMatchesSerialTranslation(t *testing.T) {
 	}
 }
 
+// TestAccessedBitsMatchReferences pins the nested accessed-bit contract
+// CLOCK relies on: every referenced page ends with its bit set, and no
+// other page does. step is the only writer — directly on the serial
+// engine, through the barrier's OR of the lanes' marks on the parallel
+// one (its only route to these bits). Every page is resident (inf-hbm),
+// so nothing is evicted or remapped and no bit is ever cleared; the
+// expected set is rebuilt from the reference streams themselves, seeded as
+// New seeds them. Two VMs make the test see the VM half of a mark too.
+func TestAccessedBitsMatchReferences(t *testing.T) {
+	spec := smokeSpec()
+	spec.Refs = 6_000
+	spec.Threads = 2
+	for _, workers := range []int{0, 2} {
+		cfg := smokeConfig()
+		cfg.Mem.HBMFrames = 4096
+		opts := Options{
+			Config:   cfg,
+			Protocol: "hatric",
+			Paging:   hv.PagingConfig{Policy: "lru"},
+			Mode:     hv.ModeInfHBM,
+			VMs: []VMSpec{
+				{Workloads: []AssignedWorkload{{Spec: spec, CPUs: []int{0, 1}}}},
+				{Workloads: []AssignedWorkload{{Spec: spec, CPUs: []int{2, 3}}}},
+			},
+			Seed:         23,
+			ParallelCPUs: workers,
+		}
+		sys, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Agg.PageEvictions != 0 || res.Agg.RemapsInitiated != 0 {
+			t.Fatalf("precondition violated: %d evictions, %d remaps",
+				res.Agg.PageEvictions, res.Agg.RemapsInitiated)
+		}
+		for v, vm := range sys.VMs() {
+			// One process per VM: its process index is the VM's.
+			w := opts.VMs[v].Workloads[0]
+			referenced := map[arch.GPP]bool{}
+			for ti := range w.CPUs {
+				st := workload.NewStream(w.Spec.PerThread(len(w.CPUs)), opts.Seed+uint64(v)*101, ti)
+				for acc, ok := st.Next(); ok; acc, ok = st.Next() {
+					gpp, _ := vm.Guests[0].Translate(acc.VA.Page())
+					referenced[gpp] = true
+				}
+			}
+			wrong := 0
+			for gvp := 0; gvp < w.Spec.FootprintPages; gvp++ {
+				gpp, _ := vm.Guests[0].Translate(arch.GVP(gvp))
+				if vm.Nested.Accessed(gpp) != referenced[gpp] {
+					wrong++
+				}
+			}
+			if wrong != 0 || len(referenced) == 0 {
+				t.Errorf("workers=%d VM %d: %d of %d pages have an accessed bit that disagrees with the %d referenced",
+					workers, v, wrong, w.Spec.FootprintPages, len(referenced))
+			}
+		}
+	}
+}
+
 // TestParallelLogFollowsWorkerPeak pins the deferred log's memory on a
 // parallel_2w-shaped machine (two paged data_caching VMs of 4 threads, 2
 // workers). The log keeps one lane per worker, so each lane's capacity
@@ -389,6 +454,7 @@ func TestGoldenCountersParallel(t *testing.T) {
 				if res.Agg.ParallelEpochs == 0 {
 					t.Errorf("parallel run recorded no epochs")
 				}
+				checkRemapAccounting(t, res.Agg)
 				got := goldenFingerprint(res)
 				if update {
 					lines = append(lines, fmt.Sprintf("\t%q: %#016x,", key, got))

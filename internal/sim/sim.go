@@ -514,14 +514,16 @@ func New(opts Options) (*System, error) {
 		s.vcpus[i] = vcpuState{vm: -1, pid: -1}
 	}
 
-	// Protocol, then its relay hook into the hierarchy.
+	// Protocol, then, for a hardware protocol, its relay hook into the
+	// hierarchy.
 	proto, err := core.New(opts.Protocol, s, cfg.TLB.CoTagBytes)
 	if err != nil {
 		return nil, err
 	}
 	s.proto = proto
-	hook, relay := s.proto.Hook()
-	s.hier.SetTranslationHook(hook, relay)
+	if hook, ok := proto.(coherence.TranslationHook); ok {
+		s.hier.SetTranslationHook(hook)
+	}
 
 	// The VMs and their processes (slot pinnings were validated disjoint
 	// and in-range up front; pinned, a slot is a physical CPU). Stream
@@ -725,23 +727,12 @@ func New(opts Options) (*System, error) {
 
 // --- core.Machine implementation ---
 
-// NumCPUs implements core.Machine.
-func (s *System) NumCPUs() int { return s.cfg.NumCPUs }
-
-// NumVMs implements core.Machine.
-func (s *System) NumVMs() int { return len(s.vms) }
-
 // VMCPUs implements core.Machine: every physical CPU that runs any of VM
 // vm's vCPUs (software coherence's imprecise target set). Pinned, the
 // sets of different VMs are disjoint; under the time-sliced scheduler
 // they overlap, and isolation comes from the VM-qualified structures, not
 // from the target sets.
 func (s *System) VMCPUs(vm int) []int { return s.vms[vm].CPUs }
-
-// VMOf implements core.Machine. Under the time-sliced scheduler this is
-// the VM of the vCPU currently occupying the physical CPU, so it varies
-// over the run.
-func (s *System) VMOf(cpu int) int { return s.vmOf[cpu] }
 
 // VMMayCache implements core.Machine: pinned, a CPU holds only its own
 // VM's entries; time-sliced, it may hold entries of every VM with a vCPU
@@ -847,18 +838,6 @@ func (s *System) VM() *hv.VM { return s.vms[0] }
 
 // VMs returns every virtual machine on the simulated server.
 func (s *System) VMs() []*hv.VM { return s.vms }
-
-// Hypervisor returns the paging engine.
-func (s *System) Hypervisor() *hv.Hypervisor { return s.hyp }
-
-// Hierarchy returns the cache hierarchy.
-func (s *System) Hierarchy() *coherence.Hierarchy { return s.hier }
-
-// Protocol returns the translation-coherence protocol.
-func (s *System) Protocol() core.Protocol { return s.proto }
-
-// Clock returns cpu's current cycle count.
-func (s *System) Clock(cpu int) arch.Cycles { return s.clock[cpu] }
 
 // Run executes every stream to completion and returns the result.
 func (s *System) Run() (*Result, error) {
@@ -1238,13 +1217,13 @@ func (s *System) step(cpu int) error {
 		pc.pendValid = false
 	}
 
-	// Maintain the nested accessed bit on every reference (the paper's
-	// trace-driven setup gives its LRU policy precise access information;
-	// relying on walk-time-only updates would starve CLOCK of signal for
-	// exactly the protocols that avoid TLB flushes). The parallel engine
-	// marks it (deduped) on the CPU's lane instead of writing the shared
-	// page tables; the barrier ORs the bits in before any eviction policy
-	// can read them.
+	// Maintain the nested accessed bit on every reference. This is the
+	// only place it is set; the walker sets none (the paper's trace-driven
+	// setup gives its LRU policy precise access information; walk-time-only
+	// updates would starve CLOCK of signal for exactly the protocols that
+	// avoid TLB flushes). The parallel engine marks it (deduped) on the
+	// CPU's lane instead of writing the shared page tables; the barrier
+	// ORs the bits in before any eviction policy can read them.
 	if pc != nil {
 		packed := packVMGPP(vm, gpp)
 		slot := (packed * 0x9E3779B97F4A7C15) >> (64 - accFilterBits)

@@ -56,6 +56,7 @@ func TestStaleAuditAcrossVariants(t *testing.T) {
 				if res.Agg.PageEvictions == 0 && res.Agg.DefragRemaps == 0 {
 					t.Errorf("test exercised no remaps; it proves nothing")
 				}
+				checkRemapAccounting(t, res.Agg)
 			})
 		}
 	}
@@ -198,6 +199,13 @@ func TestBadOptionsRejected(t *testing.T) {
 		if _, err := New(opts); err == nil {
 			t.Errorf("case %d: invalid options accepted", i)
 		}
+	}
+	// A migration must name its destination: the zero tier is no tier,
+	// not a silent promotion to die-stacked memory.
+	noDest := Options{Config: cfg, Protocol: "hatric", Workloads: SingleWorkload(smokeSpec(), 1),
+		Migrations: []hv.MigrationSpec{{VM: 0, At: 1_000}}}
+	if _, err := New(noDest); err == nil || !strings.Contains(err.Error(), "hbm or dram") {
+		t.Errorf("migration without Dest: accepted or rejected for another reason: %v", err)
 	}
 	noCPUs, noHBMBandwidth, negDRAMBandwidth, nanCPI := cfg, cfg, cfg, cfg
 	noCPUs.NumCPUs = 0

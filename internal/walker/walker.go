@@ -56,12 +56,6 @@ type Walker struct {
 	Nested *pagetable.NestedPT
 	Guest  GuestPTResolver
 
-	// DeferAccessed suppresses the walk-time nested accessed-bit update
-	// (the page tables are shared mutable state). The parallel simulator
-	// sets it and instead applies its own per-reference accessed-bit log —
-	// which covers every walked data page too — at the epoch barrier.
-	DeferAccessed bool
-
 	// vm is the current VM's ID (VPID), installed by SetVM; 0 when never
 	// set (single-VM rigs).
 	vm int
@@ -111,7 +105,7 @@ func (w *Walker) Translate(pid int, gvp arch.GVP, now arch.Cycles) (arch.SPP, ar
 	if e, ok := w.TS.L2TLB.LookupEntry(w.vm, key); ok {
 		w.Cnt.L2TLBHits++
 		// The L2 to L1 refill carries the original co-tag along.
-		w.fill(w.TS.L1TLB, key, e.Val, e.Src, cache.IsPTKind(e.Kind), true)
+		w.fill(w.TS.L1TLB, key, e.Val, e.Src, cache.IsPTKind(e.Kind))
 		spp, gpp := unpackVal(e.Val)
 		return spp, gpp, lat, nil
 	}
@@ -166,7 +160,7 @@ func (w *Walker) walk(pid int, gvp arch.GVP, now arch.Cycles) (arch.SPP, arch.GP
 			// nested leaf PTE of that PT page (remapping the PT page must
 			// invalidate this entry).
 			src := w.srcOfNestedLeaf(st.NextGPP)
-			w.fill(w.TS.MMU, tstruct.MMUKey(pid, gvp.PrefixKey(st.Level-1)), uint64(st.NextGPP), src, cache.KindNestedPT, true)
+			w.fill(w.TS.MMU, tstruct.MMUKey(pid, gvp.PrefixKey(st.Level-1)), uint64(st.NextGPP), src, cache.KindNestedPT)
 			w.Hier.NoteTranslationFill(w.CPU, arch.SPA(src<<3), cache.KindNestedPT)
 		} else {
 			dataGPP = st.NextGPP
@@ -181,21 +175,13 @@ func (w *Walker) walk(pid int, gvp arch.GVP, now arch.Cycles) (arch.SPP, arch.GP
 		return 0, dataGPP, lat, &w.fault
 	}
 
-	// Hardware metadata update: set the accessed bit (picked up by normal
-	// cache coherence; not a remap). Deferred to the epoch barrier in
-	// parallel mode, where the sim's per-reference accessed log — which
-	// includes dataGPP — applies it.
-	if !w.DeferAccessed {
-		w.Nested.SetAccessed(dataGPP, true)
-	}
-
 	// Fill the TLBs. Co-tag: the nested leaf PTE of the data page.
 	leafSPA, _ := w.Nested.LeafSPA(dataGPP)
 	src := uint64(leafSPA) >> 3
 	key := tstruct.TLBKey(pid, gvp)
 	val := packVal(spp, dataGPP)
-	w.fill(w.TS.L2TLB, key, val, src, cache.KindNestedPT, true)
-	w.fill(w.TS.L1TLB, key, val, src, cache.KindNestedPT, true)
+	w.fill(w.TS.L2TLB, key, val, src, cache.KindNestedPT)
+	w.fill(w.TS.L1TLB, key, val, src, cache.KindNestedPT)
 	w.Hier.NoteTranslationFill(w.CPU, leafSPA, cache.KindNestedPT)
 	return spp, dataGPP, lat, nil
 }
@@ -223,7 +209,7 @@ func (w *Walker) translateGPP(gpp arch.GPP, now arch.Cycles) (arch.SPP, bool, ar
 		return 0, false, lat
 	}
 	spp := arch.SPP(pte.Frame())
-	w.fill(w.TS.NTLB, tstruct.NTLBKey(gpp), uint64(spp), uint64(leaf)>>3, cache.KindNestedPT, true)
+	w.fill(w.TS.NTLB, tstruct.NTLBKey(gpp), uint64(spp), uint64(leaf)>>3, cache.KindNestedPT)
 	w.Hier.NoteTranslationFill(w.CPU, leaf, cache.KindNestedPT)
 	return spp, true, lat
 }
@@ -240,9 +226,9 @@ func (w *Walker) srcOfNestedLeaf(gpp arch.GPP) uint64 {
 // fill inserts into a translation structure, tagged with the current VM,
 // and lazily notifies the directory about the displaced victim (eager mode
 // demotes immediately).
-func (w *Walker) fill(s *tstruct.Struct, key, val, src uint64, kind cache.IsPTKind, notify bool) {
+func (w *Walker) fill(s *tstruct.Struct, key, val, src uint64, kind cache.IsPTKind) {
 	victim, evicted := s.Fill(w.vm, key, val, src, uint8(kind))
-	if evicted && notify {
+	if evicted {
 		w.Hier.NoteTranslationEviction(w.CPU, arch.SPA(victim.Src<<3), cache.IsPTKind(victim.Kind))
 	}
 }

@@ -179,19 +179,6 @@ func TestWalkSetsCoTags(t *testing.T) {
 	}
 }
 
-func TestWalkSetsAccessedBit(t *testing.T) {
-	r := newRig(t)
-	gpp := arch.GPP(0x77)
-	r.mapPage(t, 0x4000, gpp, true)
-	if r.nested.Accessed(gpp) {
-		t.Fatal("accessed before walk")
-	}
-	r.w.Translate(0, 0x4000, 0)
-	if !r.nested.Accessed(gpp) {
-		t.Errorf("walk did not set the accessed bit")
-	}
-}
-
 func TestFaultOnNotPresent(t *testing.T) {
 	r := newRig(t)
 	gpp := arch.GPP(0x55)
